@@ -12,6 +12,8 @@ check: the lock actuates only for frames carrying the secret.
 
 from __future__ import annotations
 
+import functools
+
 from ..traces.predicates import Exists, Guard, Star, TracePred, seq, st, union, value_is
 from . import constants as C
 from . import specs as S
@@ -34,27 +36,11 @@ def _boot_seq() -> TracePred:
     return gpio_setup + lan_boot.second
 
 
-def _drain_lock(capture: bool) -> TracePred:
-    interesting = {OFF_ETHERTYPE // 4: "w_ethertype",
-                   OFF_IP_PROTO // 4: "w_proto",
-                   OFF_PIN // 4: "w_pin",
-                   OFF_LOCK_CMD // 4: "w_cmd"}
-
-    def body(i: int) -> TracePred:
-        name = interesting.get(i) if capture else None
-        if name is None:
-            return S.lan_readword(C.LAN_RX_DATA_FIFO, S._accept)
-
-        def cap(v, env):
-            new = dict(env)
-            new[name] = v
-            return new
-
-        return S.lan_readword(C.LAN_RX_DATA_FIFO, cap)
-
-    from ..traces.predicates import RepeatN
-
-    return RepeatN(lambda env: (env["len"] + 3) >> 2, body)
+#: The data-FIFO words the PIN check reads, by index.
+_LOCK_WORDS = {OFF_ETHERTYPE // 4: "w_ethertype",
+               OFF_IP_PROTO // 4: "w_proto",
+               OFF_PIN // 4: "w_pin",
+               OFF_LOCK_CMD // 4: "w_cmd"}
 
 
 def _frame_authorized(env, pin: int) -> bool:
@@ -79,7 +65,7 @@ def recv_auth(pin: int, b: int) -> TracePred:
         S._fifo_inf(lambda v, env: env if ((v >> 16) & 0xFF) != 0 else None),
         S.lan_readword(C.LAN_RX_STATUS_FIFO, S._status_capture),
         Guard(lambda env: env["len"] <= C.RX_BUFFER_BYTES, "fits"),
-        _drain_lock(capture=True),
+        S.drain_words(_LOCK_WORDS),
         Guard(lambda env: _frame_authorized(env, pin) and _cmd_bit(env) == b,
               "authorized %d" % b),
     )
@@ -105,13 +91,15 @@ def recv_unauthorized(pin: int) -> TracePred:
         S._fifo_inf(lambda v, env: env if ((v >> 16) & 0xFF) != 0 else None),
         S.lan_readword(C.LAN_RX_STATUS_FIFO, S._status_capture),
         Guard(lambda env: env["len"] <= C.RX_BUFFER_BYTES, "fits"),
-        _drain_lock(capture=True),
+        S.drain_words(_LOCK_WORDS),
         Guard(lambda env: not _frame_authorized(env, pin), "unauthorized"),
     )
     return union(oversize, rejected)
 
 
+@functools.lru_cache(maxsize=None)
 def good_lock_trace(pin: int) -> TracePred:
+    """``goodLockTrace`` for ``pin``, built once per process."""
     return _boot_seq() + Star(union(
         Exists("b", (0, 1), lambda b: recv_auth(pin, b) + lock_cmd(b)),
         recv_unauthorized(pin),

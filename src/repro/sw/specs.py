@@ -21,7 +21,10 @@ proves *total* correctness.
 
 from __future__ import annotations
 
+import functools
+
 from ..traces.predicates import (
+    Bind,
     Epsilon,
     Exists,
     Guard,
@@ -132,32 +135,18 @@ def _capture_byte(name: str):
     return fn
 
 
+def _bind_word(names, word_fn) -> TracePred:
+    """Rebinds the environment to ``word_fn(word, env)``, where ``word`` is
+    the little-endian word of the bytes captured as ``names``."""
+    b0, b1, b2, b3 = names
+    return Bind(lambda env: word_fn(env[b0] | (env[b1] << 8)
+                                    | (env[b2] << 16) | (env[b3] << 24), env),
+                "word")
+
+
 def lan_readword(addr: int, word_fn) -> TracePred:
     """A successful fast-read of one register. ``word_fn(value, env)``
     constrains/captures the assembled little-endian word."""
-
-    def assemble(env):
-        return (env["_b0"] | (env["_b1"] << 8) | (env["_b2"] << 16)
-                | (env["_b3"] << 24))
-
-    def guard(env):
-        return word_fn(assemble(env), env) is not None
-
-    def rebind(env):
-        new = word_fn(assemble(env), env)
-        return new if new is not None else env
-
-    # Guard keeps match semantics; we thread the capture via a Step-less
-    # Guard that mutates env through word_fn's return.
-    class _Bind(Guard):
-        def residuals(self, trace, start, env):
-            new = word_fn(assemble(env), env)
-            if new is not None:
-                yield start, new
-
-        def partial(self, trace, start, env):
-            return start == len(trace)
-
     return seq(
         _cs_hold(),
         xchg_const(C.CMD_FAST_READ),
@@ -167,7 +156,7 @@ def lan_readword(addr: int, word_fn) -> TracePred:
         xchg_ok(value_is(0), _capture_byte("_b1")),
         xchg_ok(value_is(0), _capture_byte("_b2")),
         xchg_ok(value_is(0), _capture_byte("_b3")),
-        _Bind(lambda env: True),
+        _bind_word(("_b0", "_b1", "_b2", "_b3"), word_fn),
         _cs_auto(),
     )
 
@@ -193,24 +182,13 @@ def lan_writeword(addr: int, value_fn) -> TracePred:
             return new
         return fn
 
-    class _Check(Guard):
-        def residuals(self, trace, start, env):
-            word = (env["_wb0"] | (env["_wb1"] << 8) | (env["_wb2"] << 16)
-                    | (env["_wb3"] << 24))
-            new = value_fn(word, env)
-            if new is not None:
-                yield start, new
-
-        def partial(self, trace, start, env):
-            return start == len(trace)
-
     return seq(
         _cs_hold(),
         xchg_const(C.CMD_WRITE),
         *_addr_bytes(addr),
         xchg_ok(byte_of(0)), xchg_ok(byte_of(1)),
         xchg_ok(byte_of(2)), xchg_ok(byte_of(3)),
-        _Check(lambda env: True),
+        _bind_word(("_wb0", "_wb1", "_wb2", "_wb3"), value_fn),
         _cs_auto(),
     )
 
@@ -293,16 +271,21 @@ def _status_capture(v, env):
     return new
 
 
-def _drain(capture_cmd: bool) -> TracePred:
-    """ceil(len/4) data-FIFO reads, capturing the validation words."""
-    interesting = {OFF_ETHERTYPE // 4: "w_ethertype",
-                   OFF_IP_PROTO // 4: "w_proto",
-                   OFF_CMD // 4: "w_cmd"}
+#: The data-FIFO words validation reads, by index: captured while draining.
+_VALIDATION_WORDS = {OFF_ETHERTYPE // 4: "w_ethertype",
+                     OFF_IP_PROTO // 4: "w_proto",
+                     OFF_CMD // 4: "w_cmd"}
+
+
+def drain_words(captures) -> TracePred:
+    """ceil(len/4) data-FIFO reads; word ``i`` is captured as
+    ``captures[i]`` when present. Every other word shares one body."""
+    plain = lan_readword(C.LAN_RX_DATA_FIFO, _accept)
 
     def body(i: int) -> TracePred:
-        name = interesting.get(i) if capture_cmd else None
+        name = captures.get(i)
         if name is None:
-            return lan_readword(C.LAN_RX_DATA_FIFO, _accept)
+            return plain
 
         def cap(v, env):
             new = dict(env)
@@ -311,7 +294,11 @@ def _drain(capture_cmd: bool) -> TracePred:
 
         return lan_readword(C.LAN_RX_DATA_FIFO, cap)
 
-    return RepeatN(lambda env: (env["len"] + 3) >> 2, body)
+    return RepeatN(_words, body)
+
+
+def _words(env) -> int:
+    return (env["len"] + 3) >> 2
 
 
 def _frame_valid(env) -> bool:
@@ -335,7 +322,7 @@ def recv(b: int) -> TracePred:
         _fifo_inf(lambda v, env: env if ((v >> 16) & 0xFF) != 0 else None),
         lan_readword(C.LAN_RX_STATUS_FIFO, _status_capture),
         Guard(lambda env: env["len"] <= C.RX_BUFFER_BYTES, "fits buffer"),
-        _drain(capture_cmd=True),
+        drain_words(_VALIDATION_WORDS),
         Guard(lambda env: _frame_valid(env) and _cmd_bit(env) == b,
               "valid command %d" % b),
     )
@@ -362,7 +349,7 @@ def recv_invalid() -> TracePred:
         _fifo_inf(lambda v, env: env if ((v >> 16) & 0xFF) != 0 else None),
         lan_readword(C.LAN_RX_STATUS_FIFO, _status_capture),
         Guard(lambda env: env["len"] <= C.RX_BUFFER_BYTES, "fits buffer"),
-        _drain(capture_cmd=True),
+        drain_words(_VALIDATION_WORDS),
         Guard(lambda env: not _frame_valid(env), "fails validation"),
     )
     return union(oversize, malformed)
@@ -375,48 +362,21 @@ def device_fail() -> TracePred:
     status_ok = lan_readword(C.LAN_RX_STATUS_FIFO, _status_capture)
     fits = Guard(lambda env: env["len"] <= C.RX_BUFFER_BYTES, "fits buffer")
 
-    def drain_fail_body(i: int) -> TracePred:
-        return lan_readword(C.LAN_RX_DATA_FIFO, _accept)
-
-    # A failing data read after k successful ones, k < ceil(len/4):
-    class _DrainFail(TracePred):
-        def residuals(self, trace, start, env):
-            count = (env["len"] + 3) >> 2
-            fail = lan_readword_fail(C.LAN_RX_DATA_FIFO)
-            states = [(start, env)]
-            for i in range(count):
-                for pos, env0 in states:
-                    yield from fail.residuals(trace, pos, env0)
-                next_states = []
-                for pos, env0 in states:
-                    next_states.extend(
-                        drain_fail_body(i).residuals(trace, pos, env0))
-                states = next_states
-                if not states:
-                    return
-
-        def partial(self, trace, start, env):
-            count = (env["len"] + 3) >> 2
-            fail = lan_readword_fail(C.LAN_RX_DATA_FIFO)
-            body = lan_readword(C.LAN_RX_DATA_FIFO, _accept)
-            states = [(start, env)]
-            for i in range(count):
-                for pos, env0 in states:
-                    if fail.partial(trace, pos, env0) or \
-                       body.partial(trace, pos, env0):
-                        return True
-                next_states = []
-                for pos, env0 in states:
-                    next_states.extend(body.residuals(trace, pos, env0))
-                states = next_states
-                if not states:
-                    return False
-            return False
+    # A failing data read after k successful ones, k < ceil(len/4); the
+    # count of successful reads is kept as ``_k``.
+    more = Guard(lambda env: env["_k"] < _words(env), "words left")
+    drain_fail = seq(
+        Bind(lambda env: dict(env, _k=0), "k := 0"),
+        Star(seq(more, lan_readword(C.LAN_RX_DATA_FIFO, _accept),
+                 Bind(lambda env: dict(env, _k=env["_k"] + 1), "k += 1"))),
+        more,
+        lan_readword_fail(C.LAN_RX_DATA_FIFO),
+    )
 
     return union(
         lan_readword_fail(C.LAN_RX_FIFO_INF),
         inf_ok + lan_readword_fail(C.LAN_RX_STATUS_FIFO),
-        inf_ok + status_ok + fits + _DrainFail(),
+        inf_ok + status_ok + fits + drain_fail,
     )
 
 
@@ -432,6 +392,8 @@ def iteration() -> TracePred:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def good_hl_trace() -> TracePred:
-    """``goodHlTrace`` (paper section 3.1): the whole system's promise."""
+    """``goodHlTrace`` (paper section 3.1): the whole system's promise.
+    Built once per process, like the compiled images."""
     return boot_seq() + Star(iteration())

@@ -1,6 +1,7 @@
 """Trace-predicate combinators: the specification language of paper §3.1."""
 
 from .predicates import (
+    Bind,
     Concat,
     Epsilon,
     Event,
@@ -24,5 +25,5 @@ from .predicates import (
 )
 
 __all__ = ["TracePred", "Epsilon", "Never", "Step", "Concat", "Union",
-           "Star", "Exists", "Guard", "RepeatN", "seq", "union", "event",
+           "Star", "Exists", "Bind", "Guard", "RepeatN", "seq", "union", "event",
            "ld", "st", "value_is", "value_where", "capture", "Event", "Trace"]

@@ -15,11 +15,12 @@ supports:
   goodHlTrace``): the theorem holds at *any* moment of execution, so the
   observed trace need only be extendable to a legal one.
 
-Matching is implemented with *residuals*: ``P.residuals(trace, i, env)``
-yields every ``(j, env')`` with ``trace[i:j] ∈ P`` under captured bindings.
-Environments let multi-event transactions capture values (e.g. the bytes
-of a received packet) and guard on them -- the expressiveness the paper
-gets from higher-order logic.
+The classes here are syntax only. Matching is done by one engine,
+`repro.traces.online.OnlineChecker`, which consumes a trace one event at
+a time; both relations above feed it the whole trace. Environments let
+multi-event transactions capture values (e.g. the bytes of a received
+packet) and guard on them -- the expressiveness the paper gets from
+higher-order logic.
 
 The Python operators ``+`` (concat), ``|`` (union) and ``.star()`` mirror
 the paper's notation.
@@ -27,7 +28,8 @@ the paper's notation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+import functools
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 Event = Tuple[str, int, int]
 Trace = List[Event]
@@ -37,24 +39,21 @@ Env = Dict[str, int]
 class TracePred:
     """Base class: a set of traces (with value capture)."""
 
-    def residuals(self, trace: Trace, start: int,
-                  env: Env) -> Iterator[Tuple[int, Env]]:
-        raise NotImplementedError
-
-    def partial(self, trace: Trace, start: int, env: Env) -> bool:
-        """Is ``trace[start:]`` a strict-or-equal prefix of some member?"""
-        raise NotImplementedError
-
     # -- public API -------------------------------------------------------------
 
     def matches(self, trace: Trace) -> bool:
-        return any(end == len(trace)
-                   for end, _ in self.residuals(list(trace), 0, {}))
+        from .online import OnlineChecker
+
+        checker = OnlineChecker(self)
+        checker.feed(trace)
+        return checker.can_end()
 
     def prefix_of(self, trace: Trace) -> bool:
         """The end-to-end theorem's relation: the trace so far is consistent
         with the specification (some completion exists)."""
-        return self.partial(list(trace), 0, {})
+        from .online import OnlineChecker
+
+        return OnlineChecker(self).feed(trace)
 
     # -- combinator sugar ---------------------------------------------------------
 
@@ -71,21 +70,9 @@ class TracePred:
 class Epsilon(TracePred):
     """The empty trace."""
 
-    def residuals(self, trace, start, env):
-        yield start, env
-
-    def partial(self, trace, start, env):
-        return start == len(trace)
-
 
 class Never(TracePred):
     """The empty set of traces."""
-
-    def residuals(self, trace, start, env):
-        return iter(())
-
-    def partial(self, trace, start, env):
-        return False
 
 
 class Step(TracePred):
@@ -97,20 +84,6 @@ class Step(TracePred):
         self.fn = fn
         self.describe = describe
 
-    def residuals(self, trace, start, env):
-        if start < len(trace):
-            new_env = self.fn(trace[start], env)
-            if new_env is not None:
-                yield start + 1, new_env
-
-    def partial(self, trace, start, env):
-        if start == len(trace):
-            return True  # the event is yet to come
-        if start == len(trace) - 1:
-            return self.fn(trace[start], env) is not None
-        # A single event cannot be a prefix of two or more remaining events.
-        return False
-
 
 class Concat(TracePred):
     """The paper's ``+++``."""
@@ -119,18 +92,6 @@ class Concat(TracePred):
         self.first = first
         self.second = second
 
-    def residuals(self, trace, start, env):
-        for mid, env1 in self.first.residuals(trace, start, env):
-            yield from self.second.residuals(trace, mid, env1)
-
-    def partial(self, trace, start, env):
-        if self.first.partial(trace, start, env):
-            return True
-        for mid, env1 in self.first.residuals(trace, start, env):
-            if self.second.partial(trace, mid, env1):
-                return True
-        return False
-
 
 class Union(TracePred):
     """The paper's ``|||``."""
@@ -138,132 +99,55 @@ class Union(TracePred):
     def __init__(self, *arms: TracePred):
         self.arms = arms
 
-    def residuals(self, trace, start, env):
-        seen = set()
-        for arm in self.arms:
-            for end, env1 in arm.residuals(trace, start, env):
-                key = (end, tuple(sorted(env1.items())))
-                if key not in seen:
-                    seen.add(key)
-                    yield end, env1
-
-    def partial(self, trace, start, env):
-        return any(arm.partial(trace, start, env) for arm in self.arms)
-
 
 class Star(TracePred):
-    """The paper's ``^*``. The body must not accept the empty trace."""
+    """The paper's ``^*``. Every iteration consumes at least one event."""
 
     def __init__(self, body: TracePred):
         self.body = body
 
-    def residuals(self, trace, start, env):
-        yield start, env
-        frontier = [(start, env)]
-        visited = {start}
-        while frontier:
-            pos, env0 = frontier.pop()
-            for end, env1 in self.body.residuals(trace, pos, env0):
-                if end > pos and end not in visited:
-                    visited.add(end)
-                    yield end, env1
-                    frontier.append((end, env1))
-
-    def partial(self, trace, start, env):
-        if self.body.partial(trace, start, env):
-            return True
-        frontier = [(start, env)]
-        visited = {start}
-        while frontier:
-            pos, env0 = frontier.pop()
-            for end, env1 in self.body.residuals(trace, pos, env0):
-                if end <= pos or end in visited:
-                    continue
-                if end == len(trace) or self.body.partial(trace, end, env1):
-                    return True
-                visited.add(end)
-                frontier.append((end, env1))
-        return start == len(trace)
-
 
 class Exists(TracePred):
     """The paper's ``EX x:T, P``: union over a finite domain, with the
-    witness bound in the environment."""
+    witness bound in the environment. ``body(v)`` is built once per
+    witness."""
 
     def __init__(self, name: str, domain: Iterable[int],
                  body: Callable[[int], TracePred]):
         self.name = name
         self.domain = list(domain)
-        self.body = body
-
-    def residuals(self, trace, start, env):
-        for value in self.domain:
-            inner = dict(env)
-            inner[self.name] = value
-            yield from self.body(value).residuals(trace, start, inner)
-
-    def partial(self, trace, start, env):
-        return any(self.body(v).partial(trace, start, dict(env, **{self.name: v}))
-                   for v in self.domain)
+        self.body = functools.lru_cache(maxsize=None)(body)
 
 
-class Guard(TracePred):
-    """The empty trace, accepted only when ``fn(env)`` holds -- used to
-    state constraints over values captured earlier."""
+class Bind(TracePred):
+    """The empty trace, rebinding the environment to ``fn(env)``; a None
+    result rejects. Used to assemble and check values captured earlier."""
 
-    def __init__(self, fn: Callable[[Env], bool], describe: str = "guard"):
+    def __init__(self, fn: Callable[[Env], Optional[Env]],
+                 describe: str = "bind"):
         self.fn = fn
         self.describe = describe
 
-    def residuals(self, trace, start, env):
-        if self.fn(env):
-            yield start, env
 
-    def partial(self, trace, start, env):
-        # Guards accept only the empty trace, so a strict prefix situation
-        # exists only when everything has been consumed. (Whether the guard
-        # will hold once more events arrive cannot be known yet; being
-        # permissive exactly at the end keeps `partial` sound.)
-        return start == len(trace)
+class Guard(Bind):
+    """The boolean case of `Bind`: the empty trace, accepted only when
+    ``pred(env)`` holds -- used to state constraints over values captured
+    earlier."""
+
+    def __init__(self, pred: Callable[[Env], bool], describe: str = "guard"):
+        super().__init__(lambda env: env if pred(env) else None, describe)
 
 
 class RepeatN(TracePred):
     """Data-dependent repetition: ``body_fn(i)`` matched ``count_fn(env)``
     times. Used for "read ceil(len/4) FIFO words" where the count was
-    captured from an earlier status event."""
+    captured from an earlier status event. ``body_fn(i)`` is built once
+    per index."""
 
     def __init__(self, count_fn: Callable[[Env], int],
                  body_fn: Callable[[int], TracePred]):
         self.count_fn = count_fn
-        self.body_fn = body_fn
-
-    def residuals(self, trace, start, env):
-        count = self.count_fn(env)
-        states = [(start, env)]
-        for i in range(count):
-            next_states = []
-            for pos, env0 in states:
-                next_states.extend(self.body_fn(i).residuals(trace, pos, env0))
-            states = next_states
-            if not states:
-                return
-        yield from states
-
-    def partial(self, trace, start, env):
-        count = self.count_fn(env)
-        states = [(start, env)]
-        for i in range(count):
-            body = self.body_fn(i)
-            if any(body.partial(trace, pos, env0) for pos, env0 in states):
-                return True
-            next_states = []
-            for pos, env0 in states:
-                next_states.extend(body.residuals(trace, pos, env0))
-            states = next_states
-            if not states:
-                return False
-        # A full match is a prefix only when nothing is left unconsumed.
-        return any(pos == len(trace) for pos, _ in states)
+        self.body_fn = functools.lru_cache(maxsize=None)(body_fn)
 
 
 def seq(*parts: TracePred) -> TracePred:

@@ -107,3 +107,22 @@ def test_buggy_driver_violates_at_machine_level():
             "buffer overflow had no observable effect; exploit demo broken"
     except RiscvUB:
         pass  # stack overran into code: caught by the XAddrs discipline
+
+
+def test_violation_names_the_first_bad_event():
+    """Every event is checked, so a rejected run stops at the first event
+    outside goodHlTrace and names it."""
+    from repro.sw.specs import good_hl_trace
+
+    result = run_end_to_end(frames=[(5, oversize_packet(1600, True))],
+                            max_units=60_000, buggy_driver=True)
+    assert not result.ok
+    bad = len(result.trace) - 1
+    assert bad == 335
+    spec = good_hl_trace()
+    assert spec.prefix_of(result.trace[:bad])
+    assert not spec.prefix_of(result.trace[:bad + 1])
+    kind, addr, value = result.trace[bad]
+    assert "event %d (%s 0x%x = 0x%x)" % (bad, kind, addr, value) \
+        in result.detail
+    assert "after %d units" % result.instructions in result.detail

@@ -14,6 +14,7 @@ from repro.platform.net import (
 from repro.sw import constants as C
 from repro.sw.program import lightbulb_program, make_platform
 from repro.sw.specs import boot_seq, good_hl_trace, iteration
+from repro.traces.online import OnlineChecker
 from repro.traces.predicates import Star
 
 
@@ -161,14 +162,15 @@ def test_iteration_star_covers_loops_only():
     _, full = run_session([lightbulb_packet(True)], platform=plat)
     # Find where boot ends: first RX_FIFO_INF transaction begins with the
     # CSMODE hold preceding a FASTREAD of RX_FIFO_INF; simpler: spec split.
-    boot = boot_seq()
-    loops = Star(iteration())
-    matched = False
-    for end, env in boot.residuals(full, 0, {}):
-        if loops.matches(full[end:]):
-            matched = True
+    boot = OnlineChecker(boot_seq())
+    boot_ends = []
+    for end, event in enumerate(full):
+        if boot.can_end():
+            boot_ends.append(end)
+        if not boot.feed([event]):
             break
-    assert matched
+    loops = Star(iteration())
+    assert any(loops.matches(full[end:]) for end in boot_ends)
 
 
 # -- program-logic verification (the headline checks) --------------------------------

@@ -125,3 +125,27 @@ def test_boot_failure_on_machine_level():
     before = machine.instret
     machine.run(50_000)
     assert machine.instret == before + 50_000
+
+
+def test_device_dies_mid_drain_on_machine_level():
+    """The device goes silent while the driver drains a frame, 6 of its 11
+    data words read: the DeviceFail arm that fails inside the drain."""
+    from repro.riscv.machine import RiscvMachine
+    from repro.sw.program import compiled_lightbulb
+
+    compiled = compiled_lightbulb(stack_top=1 << 16)
+    plat = make_platform()
+    machine = RiscvMachine.with_program(compiled.image, mem_size=1 << 16,
+                                        mmio_bus=plat.bus, fast=True)
+    while not plat.lan.rx_enabled:
+        machine.run(10)
+    assert plat.lan.inject_frame(lightbulb_packet(True))
+    while not plat.lan._active_words:  # filled when the status is read
+        machine.run(10)
+    while len(plat.lan._active_words) > 5:
+        machine.run(10)
+    plat.spi.rx_latency = 10**9  # device dies now
+    machine.run(60_000)
+    assert len(machine.trace) == 4361
+    assert SPEC.prefix_of(machine.trace)
+    assert not plat.gpio.bulb_on

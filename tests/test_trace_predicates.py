@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.traces.online import OnlineChecker
 from repro.traces.predicates import (
-    Epsilon, Exists, Guard, Never, RepeatN, Star, capture, event, ld, seq,
-    st as st_, union, value_is, value_where,
+    Bind, Epsilon, Exists, Guard, Never, RepeatN, Star, capture, event, ld,
+    seq, st as st_, union, value_is, value_where,
 )
 
 
@@ -66,6 +67,7 @@ def test_union():
 
 def test_star():
     p = Star(ld(1))
+    assert p.prefix_of([])
     assert p.matches([])
     assert p.matches([LD(1)] * 5)
     assert not p.matches([LD(1), ST(1)])
@@ -124,6 +126,48 @@ def test_value_where():
     assert not p.matches([LD(1, 5)])
 
 
+def test_star_keeps_every_environment():
+    # Both star arms consume LD(1) and end at the same position; only the
+    # parse that captured "b" satisfies the guard.
+    p = seq(Star(ld(1, capture("a")) | ld(1, capture("b"))),
+            Guard(lambda env: "b" in env), st_(2))
+    assert p.prefix_of([LD(1), ST(2)])
+    assert p.matches([LD(1), ST(2)])
+
+
+def test_star_iterations_consume_events():
+    # A zero-width iteration would bind "x"; iterations must consume.
+    p = seq(Star(Exists("x", (0,), lambda v: Epsilon()) | ld(1)),
+            Guard(lambda env: "x" in env))
+    assert not p.matches([])
+    assert not p.matches([LD(1)])
+
+
+def test_bind_rebinds_or_rejects():
+    p = seq(ld(1, capture("v")),
+            Bind(lambda env: dict(env, w=env["v"] * 2) if env["v"] else None),
+            st_(2, lambda v, env: env if v == env["w"] else None))
+    assert p.matches([LD(1, 3), ST(2, 6)])
+    assert not p.matches([LD(1, 3), ST(2, 3)])
+    assert not p.prefix_of([LD(1, 0), ST(2, 0)])
+
+
+def test_guards_after_the_last_event_wait_for_the_next():
+    p = seq(ld(1, capture("v")), Guard(lambda env: env["v"] == 1), st_(2))
+    assert p.prefix_of([LD(1, 0)])       # not evaluated yet
+    assert not p.matches([LD(1, 0)])
+    assert not p.prefix_of([LD(1, 0), ST(2)])
+    assert Guard(lambda env: False).prefix_of([])
+
+
+def test_checker_names_the_first_rejected_event():
+    checker = OnlineChecker(Star(ld(1)) + st_(2))
+    assert checker.check([LD(1), LD(1)])
+    assert not checker.check([LD(1), LD(1), ST(3, 5), ST(2)])
+    assert (checker.bad_index, checker.bad_event) == (2, ST(3, 5))
+    assert checker.rejection() == "event 2 (st 0x3 = 0x5)"
+
+
 def test_nested_star_union():
     p = Star(union(ld(1), st_(2) + st_(3)))
     assert p.matches([LD(1), ST(2), ST(3), LD(1)])
@@ -138,19 +182,36 @@ events = st.tuples(st.sampled_from(["ld", "st"]), addresses,
                    st.integers(0, 3))
 
 
+names = st.sampled_from(["a", "b"])
+
+
 @st.composite
 def preds(draw, depth=2):
+    leaves = ["event", "capture", "witness", "guard"]
     kind = draw(st.sampled_from(
-        ["event", "concat", "union", "star"] if depth > 0 else ["event"]))
-    if kind == "event":
-        k = draw(st.sampled_from(["ld", "st"]))
-        a = draw(addresses)
-        return event(k, a)
+        leaves + ["concat", "union", "star", "exists", "repeat"]
+        if depth > 0 else leaves))
     if kind == "concat":
         return draw(preds(depth=depth - 1)) + draw(preds(depth=depth - 1))
     if kind == "union":
         return draw(preds(depth=depth - 1)) | draw(preds(depth=depth - 1))
-    return Star(draw(preds(depth=depth - 1)))
+    if kind == "star":
+        return Star(draw(preds(depth=depth - 1)))
+    name = draw(names)
+    if kind == "guard":
+        if draw(st.booleans()):
+            return Guard(lambda env: name in env)
+        return Guard(lambda env: env.get(name) == 1)
+    if kind in ("exists", "repeat"):
+        body = draw(preds(depth=depth - 1))
+        if kind == "exists":
+            return Exists(name, (0, 1), lambda v: body)
+        return RepeatN(lambda env: 2 if name in env else 1, lambda i: body)
+    step = event(draw(st.sampled_from(["ld", "st"])), draw(addresses),
+                 capture(name) if kind == "capture" else None)
+    if kind == "witness":
+        return Exists(name, (0, 1), lambda v: step)
+    return step
 
 
 @settings(max_examples=120, deadline=None)
@@ -166,12 +227,14 @@ def test_match_implies_every_prefix_admissible(pred, trace):
 
 @settings(max_examples=120, deadline=None)
 @given(preds(), st.lists(events, max_size=4))
-def test_residual_lengths_are_consistent(pred, trace):
-    """Every residual endpoint reported really delimits a matching slice."""
+def test_streaming_verdicts_agree_with_whole_trace_verdicts(pred, trace):
+    """Fed one event at a time, the checker accepts after k events iff
+    ``matches(trace[:k])``, and stays live iff ``prefix_of(trace[:k])``."""
     trace = list(trace)
-    for end, _ in pred.residuals(trace, 0, {}):
-        assert 0 <= end <= len(trace)
-        assert pred.matches(trace[:end])
+    checker = OnlineChecker(pred)
+    for k in range(len(trace) + 1):
+        assert checker.check(trace[:k]) == pred.prefix_of(trace[:k])
+        assert checker.can_end() == pred.matches(trace[:k])
 
 
 ALPHABET = [("ld", 1, 0), ("ld", 2, 0), ("st", 1, 0), ("st", 2, 0),
@@ -194,7 +257,7 @@ def test_partial_agrees_with_bounded_extension_search(pred, trace):
     alphabet, trace is a prefix iff some bounded extension matches.
     (Extensions are searched to depth 4, which covers every predicate the
     strategy can generate except deep concatenations -- for those the
-    search may be incomplete, so only the 'partial=False' direction is
+    search may be incomplete, so only the "prefix_of=False" direction is
     asserted unconditionally.)"""
     trace = list(trace)
     claims = pred.prefix_of(trace)
