@@ -344,8 +344,10 @@ def cmd_fuzz(args) -> int:
         from .fuzz.mutate import score_differential, score_tier1
 
         exit_code = 0
+        scores = {"format": "repro-mutation-score", "version": 1}
         if args.mutation_score:
             report = score_differential(jobs=args.jobs)
+            scores["differential"] = report
             print("differential-oracle mutation score:")
             for name in sorted(report["mutations"]):
                 entry = report["mutations"][name]
@@ -360,6 +362,7 @@ def cmd_fuzz(args) -> int:
                 exit_code = 1
         if args.mutation_tier1:
             report = score_tier1()
+            scores["tier1"] = report
             print("tier-1 test-suite mutation score:")
             for name in sorted(report["mutations"]):
                 entry = report["mutations"][name]
@@ -371,6 +374,10 @@ def cmd_fuzz(args) -> int:
                      100 * report["kill_rate"]))
             if report["killed"] != report["total"]:
                 exit_code = 1
+        if args.json:
+            with open(args.json, "w") as fh:
+                json_mod.dump(scores, fh, indent=2, sort_keys=True)
+                fh.write("\n")
         _obs_finish(args)
         return exit_code
 
@@ -760,7 +767,9 @@ def main(argv=None) -> int:
                    help="include the fast-engine differential layer "
                         "(fast-vs-reference bit-identical machine state)")
     p.add_argument("--json", metavar="OUT", default=None,
-                   help="write the deterministic campaign report as JSON")
+                   help="write the deterministic campaign report (or, with "
+                        "--mutation-score/--mutation-tier1, the score "
+                        "reports) as JSON")
     add_trace_out(p)
     p = sub.add_parser("fleet",
                        help="simulate a fleet of verified nodes on an "

@@ -749,12 +749,21 @@ class _Compiled(Protocol):
     symbols: Dict[str, int]
 
 
+class ImageAnalysis(Dict[str, FunctionAnalysis]):
+    """One image's analysis: a `FunctionAnalysis` per function name, and
+    in `cfg` the CFG they were computed over, so a later pass over the
+    same image (`repro.analysis.wcet.analyze_timing`) reuses both."""
+
+    def __init__(self, cfg: BinaryCFG) -> None:
+        super().__init__()
+        self.cfg = cfg
+
+
 def analyze_image(image: bytes, symbols: Mapping[str, int],
-                  config: BinaryLintConfig
-                  ) -> Dict[str, FunctionAnalysis]:
+                  config: BinaryLintConfig) -> ImageAnalysis:
     """Run the abstract interpreter over every function in the image."""
     cfg = recover_cfg(image, symbols)
-    results: Dict[str, FunctionAnalysis] = {}
+    results = ImageAnalysis(cfg)
     for name, fn in cfg.functions.items():
         if not fn.blocks:
             continue
@@ -763,15 +772,21 @@ def analyze_image(image: bytes, symbols: Mapping[str, int],
     return results
 
 
-def lint_image(image: bytes, symbols: Mapping[str, int],
-               config: BinaryLintConfig) -> List[Diagnostic]:
-    """Lint an encoded image; returns (unsuppressed) findings."""
+def image_findings(analyses: Mapping[str, FunctionAnalysis],
+                   config: BinaryLintConfig) -> List[Diagnostic]:
+    """The unsuppressed findings of an `analyze_image` result."""
     out: List[Diagnostic] = []
-    for analysis in analyze_image(image, symbols, config).values():
+    for analysis in analyses.values():
         out.extend(d for d in analysis.findings
                    if not config.suppressed(d))
     _FINDINGS.inc(len(out))
     return out
+
+
+def lint_image(image: bytes, symbols: Mapping[str, int],
+               config: BinaryLintConfig) -> List[Diagnostic]:
+    """Lint an encoded image; returns (unsuppressed) findings."""
+    return image_findings(analyze_image(image, symbols, config), config)
 
 
 def lint_compiled(compiled: "_Compiled",
@@ -886,11 +901,7 @@ def lint_binary_program(program: object, compiled: "_Compiled",
     """The full binary lint: abstract-interpretation checks plus (when
     ``translation``) translation validation against the source."""
     analyses = analyze_image(compiled.image, compiled.symbols, config)
-    out: List[Diagnostic] = []
-    for analysis in analyses.values():
-        out.extend(d for d in analysis.findings
-                   if not config.suppressed(d))
-    _FINDINGS.inc(len(out))
+    out = image_findings(analyses, config)
     if translation:
         out.extend(translation_validate(program, compiled, config,
                                         analyses=analyses))
@@ -942,8 +953,10 @@ __all__ = [
     "BinState",
     "BinaryLintConfig",
     "FunctionAnalysis",
+    "ImageAnalysis",
     "analyze_image",
     "aval_contains",
+    "image_findings",
     "lint_binary_program",
     "lint_compiled",
     "lint_image",

@@ -83,18 +83,23 @@ class AbstractWord:
     __slots__ = ("lo", "hi", "bits")
 
     def __init__(self, lo: int, hi: int, bits: Optional[KnownBits] = None):
-        if bits is None:
-            bits = KnownBits.top(WIDTH)
         # Tighten the range by the bits and vice versa; a contradictory
         # pair can only arise on an unreachable path, where any value is
-        # a sound answer.
-        lo = max(lo, bits.umin())
-        hi = min(hi, bits.umax())
+        # a sound answer. This is `KnownBits.umin`/`umax`, then a `meet`
+        # with `KnownBits.from_range(lo, hi)`, computed inline so each
+        # word builds one `KnownBits`.
+        if bits is None:
+            mask = value = 0
+        else:
+            mask, value = bits.mask, bits.value
+        lo = max(lo, value)
+        hi = min(hi, value | (MASK & ~mask))
         if lo > hi:
             hi = lo
         self.lo = lo
         self.hi = hi
-        self.bits = bits.meet(KnownBits.from_range(lo, hi, WIDTH))
+        prefix = MASK & ~((1 << (lo ^ hi).bit_length()) - 1)
+        self.bits = KnownBits(WIDTH, mask | prefix, value | (lo & prefix))
 
     # -- constructors --------------------------------------------------------
 
@@ -105,7 +110,7 @@ class AbstractWord:
     @staticmethod
     def const(value: int) -> "AbstractWord":
         value &= MASK
-        return AbstractWord(value, value, KnownBits.from_const(value, WIDTH))
+        return AbstractWord(value, value)  # a one-value range knows every bit
 
     @staticmethod
     def boolean() -> "AbstractWord":

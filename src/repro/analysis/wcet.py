@@ -52,11 +52,10 @@ from .. import obs
 from ..riscv.insts import I_ARITH, I_SHIFT, R_TYPE, Instr
 from .binlint import (ARG_REGS, LOAD_SIZES, SCRATCH_REGS, STORE_SIZES,
                       AVal, BinState, BinaryLintConfig, FunctionAnalysis,
-                      _aval_add, _aval_sub, _binop, _const, _plain, _signed,
-                      _top, _with_reg, _I_TO_BEDROCK, _R_TO_BEDROCK,
-                      _SHIFT_TO_BEDROCK, analyze_image)
-from .cfg import RA, SP, BasicBlock, BinFunction, BinaryCFG, call_graph, \
-    recover_cfg
+                      ImageAnalysis, _aval_add, _aval_sub, _binop, _const,
+                      _plain, _signed, _top, _with_reg, _I_TO_BEDROCK,
+                      _R_TO_BEDROCK, _SHIFT_TO_BEDROCK, analyze_image)
+from .cfg import RA, SP, BasicBlock, BinFunction, BinaryCFG, call_graph
 from .costmodel import CostModel, check_pipeline_drift, pipeline_cost_model
 from .domains import MASK, AbstractWord
 from .lint import Diagnostic
@@ -1093,12 +1092,15 @@ def _topo_functions(graph: Mapping[str, Set[str]],
 
 def analyze_timing(compiled: object,
                    config: Optional[TimingConfig] = None,
-                   icache_words: Optional[int] = None) -> TimingReport:
+                   icache_words: Optional[int] = None,
+                   analyses: Optional[ImageAnalysis] = None) -> TimingReport:
     """Prove WCET and stack bounds for a compiled program.
 
     ``compiled`` is any `repro.compiler.CompiledProgram`-shaped object
     (``image``, ``symbols``, ``stack_top``; ``stack_bound`` is used for
-    the compiler cross-check when present).
+    the compiler cross-check when present). ``analyses`` is this image's
+    `analyze_image` result, when the caller already has one; otherwise
+    it is computed here under ``config.lint``.
     """
     image: bytes = compiled.image  # type: ignore[attr-defined]
     symbols: Mapping[str, int] = compiled.symbols  # type: ignore[attr-defined]
@@ -1107,8 +1109,9 @@ def analyze_timing(compiled: object,
         config = TimingConfig(lint=BinaryLintConfig(ram=(0, stack_top)),
                               model=pipeline_cost_model())
     findings: List[Diagnostic] = []
-    cfg = recover_cfg(image, symbols)
-    analyses = analyze_image(image, symbols, config.lint)
+    if analyses is None:
+        analyses = analyze_image(image, symbols, config.lint)
+    cfg = analyses.cfg
     graph = call_graph(cfg)
     order = _topo_functions(graph, findings, config)
 

@@ -14,6 +14,11 @@ binlint          *static* layer: the binary-level abstract interpreter
                  before anything executes it; any finding is a
                  divergence (the compiler emitted code that violates an
                  ISA-level invariant), shrunk like any other failure
+wcet             second static layer: `repro.analysis.wcet` proves WCET
+                 and stack bounds from the same abstract interpretation
+                 (computed once, by `binlint` when it runs); the
+                 dynamic layers' measured stack watermark and pipeline
+                 firings must stay under them
 compiled         compiled RV32IM binary on the ISA spec machine
                  (`repro.riscv.machine`), reference interpreter loop
 fast             the same binary on the same machine through the
@@ -25,13 +30,14 @@ kami-spec        the same binary on the single-cycle Kami processor
 kami-pipelined   the same binary on the paper's p4mm pipeline
 ===============  ==========================================================
 
-All five observe the same synthetic MMIO device (a fresh copy each --
-the device is deterministic in its access sequence, so layers agree iff
-their MMIO behavior agrees). Compared per layer: return values, the
-final scratch region, and the full MMIO trace (reusing the refinement
-checker's `repro.kami.refinement.match_trace_prefix`). The pipelined
-processor is additionally prefix-checked *during* execution so a
-divergence is caught at the first wrong event rather than at a timeout.
+The six executing layers observe the same synthetic MMIO device (a
+fresh copy each -- the device is deterministic in its access sequence,
+so layers agree iff their MMIO behavior agrees). Compared per layer:
+return values, the final scratch region, and the full MMIO trace
+(reusing the refinement checker's
+`repro.kami.refinement.match_trace_prefix`). The pipelined processor is
+additionally prefix-checked *during* execution so a divergence is
+caught at the first wrong event rather than at a timeout.
 
 A sampled cross-check of `repro.bedrock2.vcgen` piggybacks on the
 reference run: we symbolically execute the program with a collecting VC
@@ -194,20 +200,30 @@ def _run_smallstep(program: Program) -> LayerOutcome:
                         trace=to_mmio_triples(state.trace))
 
 
+def _lint_config():
+    """The oracle's memory map for the static layers: owned RAM below
+    the stack top, the synthetic device as the only MMIO range."""
+    from ..analysis.binlint import BinaryLintConfig
+
+    return BinaryLintConfig.for_platform(
+        _STACK_TOP, ((DEV_BASE, DEV_BASE + DEV_SIZE),))
+
+
 def _binlint_findings(compiled):
     """The static layer: abstract-interpretation lint of the compiled
-    image against the oracle's memory map (owned RAM below the stack
-    top, the synthetic device as the only MMIO range). Imported lazily
+    image. Returns ``(analyses, findings)``; the `wcet` layer reuses
+    ``analyses`` instead of analyzing the image again. Imported lazily
     so execution-only layer subsets never pay for the analysis import."""
-    from ..analysis.binlint import BinaryLintConfig, lint_image
+    from ..analysis.binlint import analyze_image, image_findings
 
-    config = BinaryLintConfig.for_platform(
-        _STACK_TOP, ((DEV_BASE, DEV_BASE + DEV_SIZE),))
-    return lint_image(compiled.image, compiled.symbols, config)
+    config = _lint_config()
+    analyses = analyze_image(compiled.image, compiled.symbols, config)
+    return analyses, image_findings(analyses, config)
 
 
-def _wcet_prove(compiled) -> Tuple[Optional[dict], Optional[str]]:
-    """The second static layer: prove WCET and stack bounds.
+def _wcet_prove(compiled, analyses) -> Tuple[Optional[dict], Optional[str]]:
+    """The second static layer: prove WCET and stack bounds, from the
+    `binlint` layer's ``analyses`` (None when that layer did not run).
 
     Returns ``({"static_cycles": fill + wcet, "stack_bound": bytes},
     None)`` on success or ``(None, detail)`` when the analyzer cannot
@@ -217,18 +233,16 @@ def _wcet_prove(compiled) -> Tuple[Optional[dict], Optional[str]]:
     binaries with mangled control flow) are reported the same way, not
     raised.  Lazy imports, mirroring `_binlint_findings`.
     """
-    from ..analysis.binlint import BinaryLintConfig
     from ..analysis.costmodel import pipeline_cost_model
     from ..analysis.wcet import TimingConfig, analyze_timing
 
     icache_words = len(compiled.image) // 4 + 4
     try:
-        config = TimingConfig(
-            lint=BinaryLintConfig.for_platform(
-                _STACK_TOP, ((DEV_BASE, DEV_BASE + DEV_SIZE),)),
-            model=pipeline_cost_model())
+        config = TimingConfig(lint=_lint_config(),
+                              model=pipeline_cost_model())
         report = analyze_timing(compiled, config,
-                                icache_words=icache_words)
+                                icache_words=icache_words,
+                                analyses=analyses)
     except Exception as exc:  # mutated image: analyzer must not crash out
         return None, "analyzer error: %s: %s" % (type(exc).__name__, exc)
     if report.findings:
@@ -431,9 +445,11 @@ def run_differential(program: Program,
                          "detail": "image overlaps scratch (%d bytes)"
                          % len(compiled.image)})
 
+    analyses = None
     if "binlint" in layers:
         result["layers"].append("binlint")
-        findings = _timed("binlint", lambda: _binlint_findings(compiled))
+        analyses, findings = _timed("binlint",
+                                    lambda: _binlint_findings(compiled))
         if findings:
             shown = "; ".join(d.render() for d in findings[:3])
             if len(findings) > 3:
@@ -444,11 +460,12 @@ def run_differential(program: Program,
     bounds: Optional[dict] = None
     if "wcet" in layers:
         result["layers"].append("wcet")
-        bounds, why = _timed("wcet", lambda: _wcet_prove(compiled))
+        bounds, why = _timed("wcet", lambda: _wcet_prove(compiled, analyses))
         if bounds is None:
             return diverged({"layer": "wcet", "kind": "static",
                              "detail": why or "unbounded"})
         result["wcet"] = dict(bounds)
+    analyses = None  # released: the dynamic layers do not read it
 
     def stack_overrun(machine, layer: str) -> Optional[dict]:
         """Watermark vs proved bound: `sp_min` is the lowest value ever

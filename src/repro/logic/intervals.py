@@ -169,21 +169,13 @@ class KnownBits:
         return KnownBits(self.width, mask, value)
 
     def add(self, other: "KnownBits", carry_in: int = 0) -> "KnownBits":
-        """Ripple-carry: result bits are known from the LSB up to the
-        first position where an operand bit or the carry is unknown."""
-        mask = 0
-        value = 0
-        carry = carry_in
-        for i in range(self.width):
-            bit = 1 << i
-            if not (self.mask & bit and other.mask & bit):
-                break
-            s = ((self.value >> i) & 1) + ((other.value >> i) & 1) + carry
-            if s & 1:
-                value |= bit
-            mask |= bit
-            carry = s >> 1
-        return KnownBits(self.width, mask, value)
+        """Result bits are known from the LSB up to the first position
+        where an operand bit is unknown: below it every carry is known,
+        so those bits are the low bits of the sum of the known parts."""
+        both = self.mask & other.mask
+        low = ((both + 1) & ~both) - 1  # the run of trailing ones
+        return KnownBits(self.width, low,
+                         (self.value & low) + (other.value & low) + carry_in)
 
     def sub(self, other: "KnownBits") -> "KnownBits":
         return self.add(other.bnot(), carry_in=1)

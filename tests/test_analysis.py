@@ -404,3 +404,107 @@ def test_knownbits_from_range_and_conflicts():
     assert kb.value & 0xFFFFFF00 == 0x100
     assert KnownBits.from_const(3, 32).conflicts(KnownBits.from_const(5, 32))
     assert not KnownBits.top(32).conflicts(KnownBits.from_const(5, 32))
+
+
+# ---------------------------------------------------------------------------
+# The closed-form kernels against the bit-serial references they replaced.
+# Equal results, not just sound ones: a less precise kernel is still sound.
+
+
+def _ripple_add(a, b, carry_in=0):
+    """Reference `KnownBits.add`: ripple the carry from the LSB up to the
+    first position where an operand bit is unknown."""
+    mask = value = 0
+    carry = carry_in
+    for i in range(a.width):
+        bit = 1 << i
+        if not (a.mask & bit and b.mask & bit):
+            break
+        s = ((a.value >> i) & 1) + ((b.value >> i) & 1) + carry
+        if s & 1:
+            value |= bit
+        mask |= bit
+        carry = s >> 1
+    return mask, value
+
+
+def _ripple_sub(a, b):
+    return _ripple_add(a, b.bnot(), carry_in=1)
+
+
+def _three_object_word(lo, hi, bits):
+    """Reference `AbstractWord(lo, hi, bits)`: tighten by `umin`/`umax`,
+    then meet with `KnownBits.from_range`."""
+    if bits is None:
+        bits = KnownBits.top(32)
+    lo = max(lo, bits.umin())
+    hi = min(hi, bits.umax())
+    if lo > hi:
+        hi = lo
+    bits = bits.meet(KnownBits.from_range(lo, hi, 32))
+    return lo, hi, bits.mask, bits.value
+
+
+def _every_known_bits(width):
+    for mask in range(1 << width):
+        value = mask
+        while True:  # every value whose bits lie inside mask
+            yield KnownBits(width, mask, value)
+            if not value:
+                break
+            value = (value - 1) & mask
+
+
+def _random_known_bits(rng):
+    """32-bit known bits, often with a long run of known low bits (a
+    long carry chain) or fully known."""
+    kind = rng.randrange(3)
+    mask = rng.getrandbits(32)
+    if kind == 1:
+        mask |= (1 << rng.randrange(33)) - 1
+    elif kind == 2:
+        mask = W.MASK
+    return KnownBits(32, mask, rng.getrandbits(32))
+
+
+def test_known_bits_add_and_sub_equal_ripple_carry_exhaustively():
+    for width in range(1, 6):
+        universe = list(_every_known_bits(width))
+        for a in universe:
+            for b in universe:
+                for carry in (0, 1):
+                    r = a.add(b, carry)
+                    assert (r.mask, r.value) == _ripple_add(a, b, carry)
+                r = a.sub(b)
+                assert (r.mask, r.value) == _ripple_sub(a, b)
+
+
+def test_known_bits_add_and_sub_equal_ripple_carry_at_32_bits():
+    rng = random.Random(2024)
+    for _ in range(100_000):
+        a, b = _random_known_bits(rng), _random_known_bits(rng)
+        carry = rng.randrange(2)
+        r = a.add(b, carry)
+        assert (r.mask, r.value) == _ripple_add(a, b, carry), (a, b, carry)
+        r = a.sub(b)
+        assert (r.mask, r.value) == _ripple_sub(a, b), (a, b)
+
+
+def test_abstract_word_equals_three_object_construction():
+    rng = random.Random(77)
+    for _ in range(50_000):
+        bits = None if rng.random() < 0.2 else _random_known_bits(rng)
+        if rng.random() < 0.5:
+            # Any order: lo > hi, or a range the bits exclude, is a
+            # contradictory pair.
+            lo, hi = rng.getrandbits(32), rng.getrandbits(32)
+        else:  # a narrow range near the bits' own bounds
+            lo = bits.umin() if bits is not None else rng.getrandbits(32)
+            lo = max(0, min(W.MASK, lo + rng.randrange(-64, 64)))
+            hi = min(W.MASK, lo + rng.randrange(256))
+        w = AbstractWord(lo, hi, bits)
+        assert (w.lo, w.hi, w.bits.mask, w.bits.value) == \
+            _three_object_word(lo, hi, bits), (lo, hi, bits)
+        w = AbstractWord.const(lo)
+        assert (w.lo, w.hi, w.bits.mask, w.bits.value) == \
+            _three_object_word(lo, lo, KnownBits.from_const(lo, 32)), lo

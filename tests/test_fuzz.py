@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -104,6 +105,57 @@ def test_synthetic_device_deterministic_in_sequence():
     assert len({x for x, _ in values}) > 1  # reads are not constant
 
 
+def _count_calls(monkeypatch, fn):
+    """Count calls of ``fn`` made through any `repro` module's binding."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro"):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_static_layers_share_one_analysis_per_image(monkeypatch):
+    # wcet is imported so that its binding of analyze_image is counted.
+    from repro.analysis import binlint, cfg, wcet  # noqa: F401
+
+    analyses = _count_calls(monkeypatch, binlint.analyze_image)
+    cfgs = _count_calls(monkeypatch, cfg.recover_cfg)
+    for seed in (0, 3):
+        program = generate_program(seed)
+        analyses.clear()
+        cfgs.clear()
+        full = run_differential(program)
+        assert full["status"] == "ok", full
+        assert (len(analyses), len(cfgs)) == (1, 1)
+        # Without the binlint layer, wcet analyzes the image itself and
+        # proves the same bounds.
+        alone = run_differential(program, layers=("interp", "wcet"))
+        assert alone["layers"] == ["interp", "wcet"]
+        assert alone["wcet"] == {key: full["wcet"][key]
+                                 for key in ("static_cycles", "stack_bound")}
+
+
+def test_wcet_layer_reports_an_analyzer_crash(monkeypatch):
+    from repro.analysis import wcet
+
+    def crash(*args, **kwargs):
+        raise IndexError("mangled control flow")
+
+    monkeypatch.setattr(wcet, "analyze_image", crash)
+    result = run_differential(generate_program(0), layers=("interp", "wcet"))
+    assert result["status"] == "divergence"
+    assert result["divergence"] == {
+        "layer": "wcet", "kind": "static",
+        "detail": "analyzer error: IndexError: mangled control flow"}
+
+
 # -- mutation testing --------------------------------------------------------
 
 
@@ -186,4 +238,37 @@ def test_cli_mutate_triage_exit_codes(tmp_path, capsys):
     assert main(["fuzz", "--seeds", "1", "--profile", "small",
                  "--logic-sample", "0",
                  "--mutate", "flatten-drop-store"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_writes_mutation_score_reports(tmp_path, capsys, monkeypatch):
+    from repro.__main__ import main
+    from repro.fuzz import mutate
+
+    differential = {
+        "mutations": {"codegen-sub-as-add": {
+            "killed": True, "layer": "compiler", "killed_by_seed": 0,
+            "divergence": {"layer": "compiled", "kind": "rets",
+                           "detail": "rets [1] vs [2]"}}},
+        "killed": 1, "total": 1, "kill_rate": 1.0}
+    tier1 = {"mutations": {"codegen-sub-as-add": {"killed": False,
+                                                  "layer": "compiler"}},
+             "killed": 0, "total": 1, "kill_rate": 0.0}
+    monkeypatch.setattr(mutate, "score_differential",
+                        lambda jobs: differential)
+    monkeypatch.setattr(mutate, "score_tier1", lambda: tier1)
+    out = tmp_path / "score.json"
+    assert main(["fuzz", "--mutation-score", "--json", str(out)]) == 0
+    assert json.loads(out.read_text()) == {
+        "format": "repro-mutation-score", "version": 1,
+        "differential": differential}
+    # A survivor still fails the run, and both reports are written.
+    assert main(["fuzz", "--mutation-score", "--mutation-tier1",
+                 "--json", str(out)]) == 1
+    text = out.read_text()
+    assert json.loads(text) == {"format": "repro-mutation-score",
+                                "version": 1, "differential": differential,
+                                "tier1": tier1}
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n"
     capsys.readouterr()

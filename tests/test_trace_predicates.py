@@ -1,12 +1,14 @@
 """Unit and property tests for the trace-predicate combinators."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.traces.online import OnlineChecker
 from repro.traces.predicates import (
-    Bind, Epsilon, Exists, Guard, Never, RepeatN, Star, capture, event, ld,
-    seq, st as st_, union, value_is, value_where,
+    Bind, Concat, Epsilon, Exists, Guard, Never, RepeatN, Star, Step, Union,
+    capture, event, ld, seq, st as st_, union, value_is, value_where,
 )
 
 
@@ -266,3 +268,59 @@ def test_partial_agrees_with_bounded_extension_search(pred, trace):
         assert claims, "a matching extension exists but prefix_of said no"
     if not claims:
         assert not found
+
+
+# -- an independent reference for `matches` -----------------------------------
+
+
+def ends(pred, trace, i, env):
+    """Every way ``pred`` can consume ``trace[i:j]`` starting in ``env``:
+    the set of ``(j, env')``, environments as frozensets of items. Star
+    iterations must consume at least one event."""
+    if isinstance(pred, Step):
+        new = pred.fn(trace[i], dict(env)) if i < len(trace) else None
+        return set() if new is None else {(i + 1, frozenset(new.items()))}
+    if isinstance(pred, Bind):
+        new = pred.fn(dict(env))
+        return set() if new is None else {(i, frozenset(new.items()))}
+    if isinstance(pred, Concat):
+        return {end for j, mid in ends(pred.first, trace, i, env)
+                for end in ends(pred.second, trace, j, mid)}
+    if isinstance(pred, Union):
+        return set().union(*(ends(arm, trace, i, env) for arm in pred.arms))
+    assert isinstance(pred, Star), pred
+    found = frontier = {(i, env)}
+    while frontier:
+        frontier = {(k, after) for j, before in frontier
+                    for k, after in ends(pred.body, trace, j, before)
+                    if k > j} - found
+        found = found | frontier
+    return found
+
+
+def _preds_by_size(limit):
+    """Every predicate of at most ``limit`` nodes over the leaves below,
+    `Concat`, `Union` and `Star`, grouped by node count."""
+    by_size = {1: [ld(1), ld(1, capture("a")), st_(2),
+                   Guard(lambda env: "a" in env),
+                   Guard(lambda env: env.get("a") == 1)]}
+    for n in range(2, limit + 1):
+        by_size[n] = [Star(body) for body in by_size[n - 1]]
+        for k in range(1, n - 1):
+            for left in by_size[k]:
+                for right in by_size[n - 1 - k]:
+                    by_size[n] += [Concat(left, right), Union(left, right)]
+    return by_size
+
+
+def test_matches_agrees_with_the_reference_on_every_small_predicate():
+    alphabet = [LD(1, 0), LD(1, 1), ST(2, 0)]
+    traces = [list(events) for n in range(4)
+              for events in itertools.product(alphabet, repeat=n)]
+    preds = [p for group in _preds_by_size(5).values() for p in group]
+    assert (len(preds), len(traces)) == (1525, 40)
+    disagreements = [
+        (pred, trace) for pred in preds for trace in traces
+        if pred.matches(trace) != any(
+            j == len(trace) for j, _ in ends(pred, trace, 0, frozenset()))]
+    assert disagreements == []
