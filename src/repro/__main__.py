@@ -126,20 +126,17 @@ def _cmd_lint_binary(args) -> list:
     """``lint --binary``: abstract-interpret + translation-validate the
     compiled images of the shipped apps."""
     from .analysis import BinaryLintConfig, lint_binary_program
-    from .compiler import compile_program
+    from .core.end2end import DOORLOCK, LIGHTBULB, compiled_image
     from .platform.bus import MMIO_RANGES
     from .sw.doorlock import doorlock_program
-    from .sw.program import compiled_lightbulb, lightbulb_program
+    from .sw.program import lightbulb_program
     from .sw.verify import platform_mmio_spec
 
     apps = []
     if args.app in ("lightbulb", "all"):
-        apps.append((lightbulb_program(),
-                     compiled_lightbulb(stack_top=1 << 16)))
+        apps.append((lightbulb_program(), compiled_image(LIGHTBULB)))
     if args.app in ("doorlock", "all"):
-        program = doorlock_program()
-        apps.append((program, compile_program(program, entry="main",
-                                              stack_top=1 << 16)))
+        apps.append((doorlock_program(), compiled_image(DOORLOCK)))
     suppress = _parse_suppressions(args.suppress)
     findings = []
     for program, compiled in apps:
@@ -152,13 +149,9 @@ def _cmd_lint_binary(args) -> list:
 
 def _timing_apps():
     """(name, CompiledProgram) for the shipped apps, compile shared."""
-    from .compiler import compile_program
-    from .sw.doorlock import doorlock_program
-    from .sw.program import compiled_lightbulb
+    from .core.end2end import DOORLOCK, LIGHTBULB, compiled_image
 
-    return [("lightbulb", compiled_lightbulb(stack_top=1 << 16)),
-            ("doorlock", compile_program(doorlock_program(), entry="main",
-                                         stack_top=1 << 16))]
+    return [(kind, compiled_image(kind)) for kind in (LIGHTBULB, DOORLOCK)]
 
 
 def _timing_report_for(compiled, loop_bounds, suppress=frozenset()):
@@ -600,18 +593,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_disasm(args) -> int:
+    from .core.end2end import compiled_image
     from .riscv.disasm import disassemble
 
-    if args.app == "doorlock":
-        from .compiler import compile_program
-        from .sw.doorlock import doorlock_program
-
-        compiled = compile_program(doorlock_program(), entry="main",
-                                   stack_top=1 << 16)
-    else:
-        from .sw.program import compiled_lightbulb
-
-        compiled = compiled_lightbulb(stack_top=1 << 16)
+    compiled = compiled_image(args.app)
     symbols = {name: addr for name, addr in compiled.symbols.items()
                if name.startswith("func.") or name in ("_start", "halt")}
     for line in disassemble(compiled.image, symbols=symbols):

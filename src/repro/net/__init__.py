@@ -11,8 +11,9 @@ package provides that workload layer on top of everything below it:
   flooding, bounded per-port egress queues with overflow accounting);
 * `repro.net.faults`   -- fault-injecting links (drop / duplicate /
   reorder / delay / bit-flip) with per-link seeded profiles;
-* `repro.net.node`     -- one verified device: fast-engine
-  `RiscvMachine` + full `platform` stack + an online trace-spec check;
+* `repro.net.node`     -- one verified device: the end-to-end
+  checker's `CheckedDevice` (fast-engine `RiscvMachine` + its own
+  `platform` stack + an online trace-spec check) with a MAC;
 * `repro.net.workload` -- open-loop traffic generators built on
   `platform.net` (valid command storms and adversarial mixes);
 * `repro.net.fleet`    -- the runner: wires fabric + nodes together,

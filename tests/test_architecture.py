@@ -48,13 +48,13 @@ ALLOWED = {
              "platform", "riscv"},
     "core": {"bedrock2", "compiler", "fuzz", "kami", "logic", "platform",
              "riscv", "sw", "traces"},
-    # The fleet simulator instantiates the whole vertical stack per node
-    # (compiled app on the fast engine over the platform bus, checked
-    # against the trace specs) and shards itself over the logic layer's
-    # dispatch pool; it reuses ``fuzz``'s RNG discipline for its seeded
-    # fault/workload streams. Nothing imports it back.
-    "net": {"compiler", "fuzz", "logic", "platform", "riscv", "sw",
-            "traces"},
+    # The fleet simulator puts one ``core`` checked device (compiled app
+    # on the fast engine over its own platform, trace under the spec
+    # checker) behind each switch port and shards itself over the logic
+    # layer's dispatch pool; it reuses ``fuzz``'s RNG discipline for its
+    # seeded fault/workload streams and ``platform``'s frame builders.
+    # Nothing imports it back.
+    "net": {"core", "fuzz", "logic", "platform", "sw"},
 }
 
 EXPECTED_PACKAGES = set(ALLOWED)
