@@ -52,19 +52,14 @@ def _run_workload():
         if plat.lan.rx_enabled and not injected[0]:
             plat.lan.inject_frame(lightbulb_packet(True))
             injected[0] = True
-        before = system.steps_taken
-        fired_names = []
+        # `System.cycle`, unrolled to see which rules fire.
+        fired = 0
         for name, module, fn in system._rules:
-            label = system._try_rule(name, module, fn)
-            if label is not None:
-                system.steps_taken += 1
-                if label.calls:
-                    system.trace.append(label)
-                fired_names.append(name)
-        for name in fired_names:
-            stats[name] += 1
+            if system._try_rule(name, module, fn) is not None:
+                stats[name] += 1
+                fired += 1
         cycles += 1
-        if system.steps_taken == before:
+        if not fired:
             break
     return proc, stats, cycles, system
 

@@ -113,7 +113,7 @@ class CheckedDevice:
         MMIO events)."""
         if isinstance(self.machine, RiscvMachine):
             return self.machine.trace
-        return self.machine.mmio_trace()
+        return self.machine.mmio_events
 
     @property
     def instructions(self) -> int:

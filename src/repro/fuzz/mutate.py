@@ -187,13 +187,13 @@ def _cm_pipeline_rs_swap():
 def _cm_pipeline_fifo_lifo():
     class LifoFifo(kami_framework.Fifo):
         def deq(self):
-            q = self._queue()
+            q = self.module.regs[self.name]
             if not q:
                 raise kami_framework.RuleAbort("%s empty" % self.name)
             return q.pop()
 
         def first(self):
-            q = self._queue()
+            q = self.module.regs[self.name]
             if not q:
                 raise kami_framework.RuleAbort("%s empty" % self.name)
             return q[-1]

@@ -339,7 +339,7 @@ def _run_kami_pipelined(compiled, n_rets: int, ref_instret: int,
         chunk = min(_PIPELINE_CHUNK, budget - spent)
         taken = system.run(chunk)
         spent += taken
-        trace = system.mmio_trace()
+        trace = system.mmio_events
         prefix = match_trace_prefix(trace, expected.trace)
         if not prefix:
             out = snapshot()

@@ -5,14 +5,16 @@ are shared between baseline single-cycle processor spec and the pipelined
 implementation, so we were able to extend the ISA and fix bugs in it
 without needing to touch a line of proof." -- we reproduce exactly that
 structure: `spec_proc` and `pipeline_proc` both call `decode_signals` and
-`exec_instr` defined here, and `tests/test_kami_isa_consistency.py` checks
-this logic against the software-oriented ISA semantics of `repro.riscv`.
+`exec_instr` defined here, and
+`tests/test_kami_processors.py::test_spec_processor_matches_isa_machine`
+checks this logic against the software-oriented ISA semantics of
+`repro.riscv`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from ..bedrock2 import word
 from ..riscv.decode import decode
@@ -41,11 +43,8 @@ _STORES = {"sb": 1, "sh": 2, "sw": 4}
 _BRANCHES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
 
 
-def decode_signals(raw: int) -> DecodedInstr:
-    """Decode a raw instruction word into control signals.
-
-    Raises `InvalidInstruction` like the ISA decoder -- an invalid word in
-    the instruction stream is outside both models' defined behavior."""
+def _signals(raw: int) -> DecodedInstr:
+    """`decode_signals` without the memo."""
     instr = decode(raw)
     name = instr.name
     is_load = name in _LOADS
@@ -66,6 +65,28 @@ def decode_signals(raw: int) -> DecodedInstr:
         src1=instr.rs1,
         src2=instr.rs2,
     )
+
+
+#: `decode_signals` memo, keyed by the raw word, shared by both
+#: processors (as `repro.riscv.decode.decode_cached` is by the ISA
+#: engines). `DecodedInstr` is a frozen value type and decoding is pure,
+#: so the memo never needs invalidation; invalid words are not cached.
+_SIGNALS_CACHE: Dict[int, DecodedInstr] = {}
+_SIGNALS_CACHE_MAX = 1 << 16
+
+
+def decode_signals(raw: int) -> DecodedInstr:
+    """Decode a raw instruction word into control signals.
+
+    Raises `InvalidInstruction` like the ISA decoder -- an invalid word in
+    the instruction stream is outside both models' defined behavior."""
+    dec = _SIGNALS_CACHE.get(raw)
+    if dec is None:
+        if len(_SIGNALS_CACHE) >= _SIGNALS_CACHE_MAX:
+            _SIGNALS_CACHE.clear()
+        dec = _signals(raw)
+        _SIGNALS_CACHE[raw] = dec
+    return dec
 
 
 @dataclass(frozen=True)
@@ -102,14 +123,18 @@ def exec_instr(dec: DecodedInstr, pc: int, rs1_val: int,
         mem_addr = word.add(rs1_val, word.wrap(imm))
         store_value = rs2_val & ((1 << (8 * dec.mem_size)) - 1)
     elif dec.is_branch:
-        taken = {
-            "beq": rs1_val == rs2_val,
-            "bne": rs1_val != rs2_val,
-            "blt": word.signed(rs1_val) < word.signed(rs2_val),
-            "bge": word.signed(rs1_val) >= word.signed(rs2_val),
-            "bltu": rs1_val < rs2_val,
-            "bgeu": rs1_val >= rs2_val,
-        }[name]
+        if name == "beq":
+            taken = rs1_val == rs2_val
+        elif name == "bne":
+            taken = rs1_val != rs2_val
+        elif name == "blt":
+            taken = word.signed(rs1_val) < word.signed(rs2_val)
+        elif name == "bge":
+            taken = word.signed(rs1_val) >= word.signed(rs2_val)
+        elif name == "bltu":
+            taken = rs1_val < rs2_val
+        else:  # bgeu
+            taken = rs1_val >= rs2_val
         if taken:
             next_pc = word.add(pc, word.wrap(imm))
     elif name == "jal":

@@ -107,7 +107,8 @@ class System:
         snapshot; it is sound exactly when every rule raises `RuleAbort`
         only *before* its first state mutation (guards precede effects).
         The processor modules are written in that discipline and are run
-        this way for simulation speed; `tests/test_kami_processors.py`
+        this way for simulation speed;
+        `tests/test_kami_scheduling.py::test_rollback_modes_agree_on_lightbulb`
         cross-checks both modes agree."""
         self.modules = list(modules)
         self.external = external
@@ -130,9 +131,15 @@ class System:
                 raise ValueError("rule_order must mention every rule exactly once")
             self._rules = [by_name[n] for n in rule_order]
         self.trace: List[StepLabel] = []
+        #: ``trace`` projected onto MMIO triples, extended as each label
+        #: is recorded. Read-only to callers; `mmio_trace` copies it.
+        self.mmio_events: List[Tuple[str, int, int]] = []
         self.steps_taken = 0
         self._pending_calls: List[MethodCall] = []
         self._next_rule = 0
+        # The label of a firing without external calls, one per rule;
+        # keyed by name, so reordering ``_rules`` keeps it valid.
+        self._silent = {name: StepLabel(name, ()) for name, _, _ in self._rules}
 
     # -- method dispatch (used by rule bodies) ----------------------------------
 
@@ -151,44 +158,64 @@ class System:
 
     def _try_rule(self, name: str, module: Module,
                   fn: Callable) -> Optional[StepLabel]:
+        """Attempt one rule. If it fires, record the firing and return its
+        label; if it aborts, roll back and return None. The scheduler
+        allocates nothing for a silent firing or an abort: the
+        pending-call list is replaced only after a labeled firing."""
         if self.snapshot_rollback:
             snapshots = [(m, _snapshot_regs(m.regs)) for m in self.modules]
-        self._pending_calls = []
+        pending = self._pending_calls
         try:
             fn(module)
         except RuleAbort:
-            _STALLS.inc()
+            _STALLS.value += 1
             if self.snapshot_rollback:
                 for m, snap in snapshots:
                     m.regs = snap
-            if self._pending_calls:
+            if pending:
                 # Device state cannot be rolled back; rules must evaluate
                 # their guards before performing external calls.
+                self._pending_calls = []
                 raise RuntimeError(
                     "rule %r aborted after making external calls; "
                     "guards must precede effects" % name)
             return None
-        label = StepLabel(name, tuple(self._pending_calls))
-        _STEPS.inc()
-        if label.calls:
-            _EXT_CALLS.inc(len(label.calls))
+        except BaseException:
+            # Calls made before the escape must not reach a later label.
+            if pending:
+                self._pending_calls = []
+            raise
+        _STEPS.value += 1
+        self.steps_taken += 1
         if obs.ENABLED:
             obs.counter("kami.rule." + name).inc()
+        if not pending:
+            return self._silent[name]
         self._pending_calls = []
+        _EXT_CALLS.value += len(pending)
+        label = StepLabel(name, tuple(pending))
+        self.trace.append(label)
+        mmio = self.mmio_events
+        for call in pending:
+            if call.method == "mmioRead":
+                mmio.append(("ld", call.args[0], call.result))
+            elif call.method == "mmioWrite":
+                mmio.append(("st", call.args[0], call.args[1]))
         return label
 
     def step(self) -> Optional[StepLabel]:
         """Fire the highest-priority enabled rule (round-robin start)."""
-        n = len(self._rules)
-        for k in range(n):
-            idx = (self._next_rule + k) % n
-            name, module, fn = self._rules[idx]
+        rules = self._rules
+        n = len(rules)
+        idx = self._next_rule
+        for _ in range(n):
+            name, module, fn = rules[idx]
+            idx += 1
+            if idx == n:
+                idx = 0
             label = self._try_rule(name, module, fn)
             if label is not None:
-                self._next_rule = (idx + 1) % n
-                self.steps_taken += 1
-                if label.calls:
-                    self.trace.append(label)
+                self._next_rule = idx
                 return label
         return None
 
@@ -202,12 +229,8 @@ class System:
         benchmarks, where cycles (not rule firings) are the observable."""
         fired = 0
         for name, module, fn in self._rules:
-            label = self._try_rule(name, module, fn)
-            if label is not None:
+            if self._try_rule(name, module, fn) is not None:
                 fired += 1
-                self.steps_taken += 1
-                if label.calls:
-                    self.trace.append(label)
         return fired
 
     def run_cycles(self, max_cycles: int,
@@ -234,16 +257,10 @@ class System:
             return max_steps
 
     def mmio_trace(self) -> List[Tuple[str, int, int]]:
-        """Project the label trace onto MMIO triples (paper §5.9's
-        ``KamiLabelSeqR``): mmioRead -> ("ld", a, v), mmioWrite -> ("st", a, v)."""
-        out = []
-        for label in self.trace:
-            for call in label.calls:
-                if call.method == "mmioRead":
-                    out.append(("ld", call.args[0], call.result))
-                elif call.method == "mmioWrite":
-                    out.append(("st", call.args[0], call.args[1]))
-        return out
+        """The label trace projected onto MMIO triples (paper §5.9's
+        ``KamiLabelSeqR``): mmioRead -> ("ld", a, v), mmioWrite -> ("st", a, v).
+        A fresh list the caller owns."""
+        return list(self.mmio_events)
 
 
 def _snapshot_regs(regs: Dict[str, object]) -> Dict[str, object]:
@@ -271,23 +288,20 @@ class Fifo:
         self.capacity = capacity
         module.reg(name, [])
 
-    def _queue(self) -> list:
-        return self.module.regs[self.name]
-
     def enq(self, item) -> None:
-        q = self._queue()
+        q = self.module.regs[self.name]
         if len(q) >= self.capacity:
             raise RuleAbort("%s full" % self.name)
         q.append(item)
 
     def deq(self):
-        q = self._queue()
+        q = self.module.regs[self.name]
         if not q:
             raise RuleAbort("%s empty" % self.name)
         return q.pop(0)
 
     def first(self):
-        q = self._queue()
+        q = self.module.regs[self.name]
         if not q:
             raise RuleAbort("%s empty" % self.name)
         return q[0]
@@ -296,7 +310,7 @@ class Fifo:
         self.module.regs[self.name] = []
 
     def empty(self) -> bool:
-        return not self._queue()
+        return not self.module.regs[self.name]
 
     def full(self) -> bool:
-        return len(self._queue()) >= self.capacity
+        return len(self.module.regs[self.name]) >= self.capacity

@@ -105,7 +105,7 @@ def check_refinement(image: bytes, make_world: Callable[[], ExternalWorld],
                   else impl_steps)
 
         def spec_caught_up(system: System) -> bool:
-            return len(system.mmio_trace()) >= len(impl_trace)
+            return len(system.mmio_events) >= len(impl_trace)
 
         spec.run(budget, stop=spec_caught_up)
         spec_trace = spec.mmio_trace()

@@ -62,6 +62,27 @@ def test_abort_after_external_call_is_an_error():
         sys_.step()
 
 
+def test_escaped_exception_does_not_leak_calls_into_next_label():
+    m = Module("m")
+    m.reg("armed", 1)
+
+    def leaky(mod):
+        if not mod.regs["armed"]:
+            raise RuleAbort("disarmed")
+        mod.sys.call("ask", 1)
+        raise ValueError("not a guard")
+
+    m.rule("leaky", leaky)
+    m.rule("quiet", lambda mod: None)
+    sys_ = System([m], Echo())
+    with pytest.raises(ValueError):
+        sys_.step()
+    m.regs["armed"] = 0
+    label = sys_.step()
+    assert label.rule == "m.quiet" and label.calls == ()
+    assert sys_.trace == [] and sys_.mmio_trace() == []
+
+
 def test_external_calls_are_labeled_internal_are_not():
     provider = Module("prov")
     provider.method("internal", lambda mod, a: a * 2)

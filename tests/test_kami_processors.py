@@ -1,12 +1,16 @@
 """Tests for the Kami processors: spec correctness, pipeline refinement,
 processor-ISA consistency (paper sections 5.5, 5.7, 5.8)."""
 
+import random
+
 import pytest
 
 from repro.bedrock2.builder import (
     block, call, func, interact, lit, set_, var, while_,
 )
 from repro.compiler import compile_program
+from repro.core.end2end import DOORLOCK, LIGHTBULB, compiled_image
+from repro.kami import decexec
 from repro.kami.framework import ExternalWorld
 from repro.kami.memory import ram_snapshot
 from repro.kami.refinement import (
@@ -14,6 +18,7 @@ from repro.kami.refinement import (
 )
 from repro.riscv import insts as I
 from repro.riscv.encode import encode_program
+from repro.riscv.insts import InvalidInstruction
 from repro.riscv.machine import RiscvMachine
 
 
@@ -134,6 +139,39 @@ def test_spec_processor_matches_isa_machine(name):
 
 def decode_spin(image, pc):
     return image[pc:pc + 4] == bytes.fromhex("6f000000")
+
+
+def _raises_invalid(decode, raw):
+    try:
+        decode(raw)
+    except InvalidInstruction:
+        return True
+    return False
+
+
+def test_decode_signals_memo_matches_uncached_decode():
+    """Both app images word by word, then 100k random words: the memo
+    returns what decoding returns, and an invalid word raises on every
+    call and is never cached."""
+    words = []
+    for kind in (LIGHTBULB, DOORLOCK):
+        image = compiled_image(kind).image
+        words += [int.from_bytes(image[i:i + 4], "little")
+                  for i in range(0, len(image) - 3, 4)]
+    rng = random.Random(2021)
+    words += [rng.getrandbits(32) for _ in range(100_000)]
+    invalid = 0
+    for raw in words:
+        if _raises_invalid(decexec._signals, raw):
+            invalid += 1
+            assert _raises_invalid(decexec.decode_signals, raw)
+            assert _raises_invalid(decexec.decode_signals, raw)
+            assert raw not in decexec._SIGNALS_CACHE
+        else:
+            assert decexec.decode_signals(raw) == decexec._signals(raw)
+            assert decexec.decode_signals(raw) is decexec._SIGNALS_CACHE[raw]
+    assert 0 < invalid < len(words)
+    assert len(decexec._SIGNALS_CACHE) <= decexec._SIGNALS_CACHE_MAX
 
 
 def test_spec_processor_mmio_trace():

@@ -11,15 +11,21 @@ observable MMIO trace is the same under
 
 because the design's FIFOs and guards serialize the data flow. This is
 what licenses using the cycle scheduler for performance measurements and
-the step scheduler for refinement checking interchangeably."""
+the step scheduler for refinement checking interchangeably.
+
+The production scheduler is also checked step for step against a plain
+reference scheduler kept here (`ReferenceSystem`), and with register
+snapshots against without."""
 
 import random
 
 import pytest
 
-from repro.kami.framework import ExternalWorld, System
+from repro import obs
+from repro.kami.framework import ExternalWorld, RuleAbort, StepLabel, System
 from repro.kami.memory import make_memory_module
 from repro.kami.pipeline_proc import make_pipelined_processor
+from repro.kami.spec_proc import make_spec_processor
 from repro.platform.net import lightbulb_packet
 from repro.riscv import insts as I
 from repro.riscv.encode import encode_program
@@ -52,10 +58,10 @@ PROGRAM = encode_program([
 ])
 
 
-def build(order=None, seed=None):
+def build(order=None, seed=None, system_cls=System):
     mem = make_memory_module(PROGRAM, ram_words=1 << 10)
     proc = make_pipelined_processor(icache_words=32)
-    system = System([proc, mem], ScriptedWorld(), snapshot_rollback=False)
+    system = system_cls([proc, mem], ScriptedWorld(), snapshot_rollback=False)
     if seed is not None:
         names = [name for name, _, _ in system._rules]
         rng = random.Random(seed)
@@ -127,3 +133,182 @@ def test_cycle_scheduler_counts_fired_rules():
     system = build()
     fired = system.cycle()
     assert fired >= 1  # at least the I$ fill engine runs
+
+
+# -- the production scheduler against the reference scheduler ---------------------
+
+class ReferenceSystem(System):
+    """The plain scheduler, without register snapshots (the mode the
+    processors run in): a fresh pending-call list per attempt, a new
+    `StepLabel` per firing, and the MMIO trace projected from the label
+    trace on every call. The production `System` must fire, abort and
+    label exactly as this does, step for step."""
+
+    def _try_rule(self, name, module, fn):
+        self._pending_calls = []
+        try:
+            fn(module)
+        except RuleAbort:
+            obs.counter("kami.stalls").inc()
+            if self._pending_calls:
+                raise RuntimeError("rule %r aborted after making external "
+                                   "calls" % name)
+            return None
+        label = StepLabel(name, tuple(self._pending_calls))
+        obs.counter("kami.rules_fired").inc()
+        if label.calls:
+            obs.counter("kami.external_calls").inc(len(label.calls))
+        if obs.ENABLED:
+            obs.counter("kami.rule." + name).inc()
+        self._pending_calls = []
+        return label
+
+    def step(self):
+        n = len(self._rules)
+        for k in range(n):
+            idx = (self._next_rule + k) % n
+            name, module, fn = self._rules[idx]
+            label = self._try_rule(name, module, fn)
+            if label is not None:
+                self._next_rule = (idx + 1) % n
+                self.steps_taken += 1
+                if label.calls:
+                    self.trace.append(label)
+                return label
+        return None
+
+    def cycle(self):
+        fired = 0
+        for name, module, fn in self._rules:
+            label = self._try_rule(name, module, fn)
+            if label is not None:
+                fired += 1
+                self.steps_taken += 1
+                if label.calls:
+                    self.trace.append(label)
+        return fired
+
+    def mmio_trace(self):
+        out = []
+        for label in self.trace:
+            for call in label.calls:
+                if call.method == "mmioRead":
+                    out.append(("ld", call.args[0], call.result))
+                elif call.method == "mmioWrite":
+                    out.append(("st", call.args[0], call.args[1]))
+        return out
+
+
+def lightbulb_system(processor, system_cls=System, snapshot_rollback=False):
+    """The lightbulb binary on ``processor`` with its own platform."""
+    compiled = compiled_lightbulb(stack_top=1 << 16)
+    plat = make_platform()
+    mem = make_memory_module(compiled.image, ram_words=1 << 14)
+    if processor == "p4mm":
+        proc = make_pipelined_processor(
+            icache_words=len(compiled.image) // 4 + 4)
+    else:
+        proc = make_spec_processor()
+    system = system_cls([proc, mem], plat.kami_world(),
+                        snapshot_rollback=snapshot_rollback)
+    return system, plat
+
+
+def one_step(system):
+    label = system.step()
+    return None if label is None else (label.rule, label.calls)
+
+
+def drive(system, plat, units, advance=one_step):
+    """Call ``advance(system)`` ``units`` times, delivering one lightbulb
+    frame to ``plat`` (if any) once its NIC is enabled. Returns what each
+    call gave, the `kami.*` counter deltas, and the final labels, MMIO
+    trace, step count and architectural state."""
+    before = obs.REGISTRY.snapshot("kami.")
+    outputs = []
+    delivered = plat is None
+    for _ in range(units):
+        if not delivered and plat.lan.rx_enabled:
+            plat.lan.inject_frame(lightbulb_packet(True))
+            delivered = True
+        outputs.append(advance(system))
+    after = obs.REGISTRY.snapshot("kami.")
+    proc, mem = system.modules
+    return {
+        "outputs": outputs,
+        "counters": {name: value - before.get(name, 0)
+                     for name, value in after.items()
+                     if value != before.get(name, 0)},
+        "labels": list(system.trace),
+        "mmio": system.mmio_trace(),
+        "steps": system.steps_taken,
+        "state": (proc.regs["pc"], list(proc.regs["rf"]),
+                  list(mem.regs["ram"])),
+        "delivered": delivered,
+    }
+
+
+def assert_same_run(expected, actual):
+    for key in expected:
+        assert actual[key] == expected[key], key
+    return actual
+
+
+def test_p4mm_lightbulb_steps_like_reference_scheduler():
+    """50k steps with a frame, with per-rule counters on."""
+    was_enabled = obs.enabled()
+    obs.enable(trace=False)
+    try:
+        run = assert_same_run(
+            drive(*lightbulb_system("p4mm", ReferenceSystem), 50_000),
+            drive(*lightbulb_system("p4mm"), 50_000))
+    finally:
+        if not was_enabled:
+            obs.disable()
+    counters = run["counters"]
+    assert run["steps"] == counters["kami.rules_fired"] == 50_000
+    assert counters["kami.stalls"] > 0
+    assert counters["kami.rule.p4mm.decode"] > 0
+    assert counters["kami.instructions_retired"] > 10_000
+    assert run["delivered"] and run["mmio"]
+
+
+def test_spec_lightbulb_steps_like_reference_scheduler():
+    run = assert_same_run(
+        drive(*lightbulb_system("kami-spec", ReferenceSystem), 10_000),
+        drive(*lightbulb_system("kami-spec"), 10_000))
+    assert run["steps"] == run["counters"]["kami.rules_fired"] == 10_000
+    assert run["delivered"] and run["mmio"]
+
+
+@pytest.mark.parametrize("seed", [11, 22, 33, 44, 55])
+def test_shuffled_rule_orders_step_like_reference_scheduler(seed):
+    run = assert_same_run(
+        drive(build(seed=seed, system_cls=ReferenceSystem), None, 20_000),
+        drive(build(seed=seed), None, 20_000))
+    assert len(run["mmio"]) == 16
+
+
+def test_cycle_scheduler_like_reference_scheduler():
+    def one_cycle(system):
+        return system.cycle()
+
+    run = assert_same_run(
+        drive(*lightbulb_system("p4mm", ReferenceSystem), 15_000,
+              one_cycle),
+        drive(*lightbulb_system("p4mm"), 15_000, one_cycle))
+    assert sum(run["outputs"]) == run["counters"]["kami.rules_fired"]
+    assert max(run["outputs"]) > 1
+    assert run["delivered"] and run["mmio"]
+
+
+@pytest.mark.parametrize("processor, units",
+                         [("p4mm", 50_000), ("kami-spec", 10_000)],
+                         ids=["p4mm", "kami-spec"])
+def test_rollback_modes_agree_on_lightbulb(processor, units):
+    """The processors follow guards-before-effects, so skipping the
+    per-attempt register snapshot changes nothing observable."""
+    run = assert_same_run(
+        drive(*lightbulb_system(processor, snapshot_rollback=True), units),
+        drive(*lightbulb_system(processor), units))
+    assert run["delivered"] and run["mmio"]

@@ -90,7 +90,16 @@ def run_isa(instrs, seed_regs):
     return machine
 
 
+P4MM_BUDGET = 200_000
+
+
 def run_p4mm(instrs, seed_regs):
+    """Run to the halt spin; returns the processor, the system and the
+    steps taken. Fetch keeps refilling ``f2d`` at the spin, so the pipe
+    never drains. Instead the run stops once the BTB maps the spin to
+    itself and ``e2w`` is empty: the spin has executed on the correct
+    path, so (in order) everything before it has executed, and has
+    retired."""
     image = encode_program(instrs)
     system = build_pipelined_system(image, NullWorld(), ram_words=1 << 10,
                                     icache_words=len(instrs) + 4)
@@ -99,10 +108,14 @@ def run_p4mm(instrs, seed_regs):
         proc.regs["rf"][reg] = value
     proc.regs["rf"][MEM_BASE_REG] = MEM_BASE
     halt_pc = (len(instrs) - 1) * 4
-    system.run(200_000, stop=lambda s: proc.regs["pc"] == halt_pc
-               and not proc.regs["f2d"] and not proc.regs["d2e"]
-               and not proc.regs["e2w"])
-    return proc, system
+    steps = system.run(P4MM_BUDGET, stop=lambda s: proc.regs["btb"].get(
+        halt_pc) == halt_pc and not proc.regs["e2w"])
+    return proc, system, steps
+
+
+def architectural_state(system):
+    proc, mem = system.modules
+    return list(proc.regs["rf"]), list(mem.regs["ram"])
 
 
 SEEDS = st.fixed_dictionaries({r: st.integers(0, 2**32 - 1) for r in REGS})
@@ -112,8 +125,9 @@ SEEDS = st.fixed_dictionaries({r: st.integers(0, 2**32 - 1) for r in REGS})
 @given(straightline_programs(), SEEDS)
 def test_p4mm_agrees_with_isa_on_random_programs(instrs, seed_regs):
     isa = run_isa(instrs, seed_regs)
-    proc, system = run_p4mm(instrs, seed_regs)
+    proc, system, steps = run_p4mm(instrs, seed_regs)
     halt_pc = (len(instrs) - 1) * 4
+    assert steps < P4MM_BUDGET, "pipeline did not reach halt (hang?)"
     assert proc.regs["pc"] == halt_pc, "pipeline did not reach halt (hang?)"
     for reg in range(32):
         assert proc.regs["rf"][reg] == isa.get_register(reg), \
@@ -124,6 +138,10 @@ def test_p4mm_agrees_with_isa_on_random_programs(instrs, seed_regs):
         kami_word = mem.regs["ram"][(MEM_BASE + off) >> 2]
         isa_word = isa.load(4, MEM_BASE + off)
         assert kami_word == isa_word, "mem[0x%x] diverged" % (MEM_BASE + off)
+    # Halted for good: the spin changes no register and no memory.
+    settled = architectural_state(system)
+    system.run(1_000)
+    assert architectural_state(system) == settled
 
 
 def test_pipeline_liveness_on_branch_storm():
@@ -135,7 +153,8 @@ def test_pipeline_liveness_on_branch_storm():
         instrs.append(I.branch("beq", 0, 0, 8))    # always taken, +8
         instrs.append(I.i_type("addi", 1, 1, 1))   # skipped
     instrs.append(SPIN)
-    proc, system = run_p4mm(instrs, {})
+    proc, system, steps = run_p4mm(instrs, {})
+    assert steps < P4MM_BUDGET
     assert proc.regs["pc"] == (len(instrs) - 1) * 4
     assert proc.regs["rf"][1] == 0  # every addi was squashed/skipped
 
