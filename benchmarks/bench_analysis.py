@@ -4,12 +4,9 @@ Measures (a) the wall time of linting every shipped program -- the CI
 ``lint-programs`` step must stay cheap enough to run on each push -- and
 (b) full software verification with and without the abstract-
 interpretation prescreener (``verify --prescreen``), recording how many
-obligations are discharged without a solver query. The wall times feed
-``benchmarks/baselines.json`` via ``check_regression.py``.
-
-Also runs standalone: ``python benchmarks/bench_analysis.py --json OUT``
-writes a BENCH_analysis.json-style record combining wall times with the
-``analysis.*`` observability counters.
+obligations are discharged without a solver query. Verification wall
+time is gated by perfbench's ``prove`` workload, which runs with the
+prescreen on; the CI lint job gates the zero-findings result.
 """
 
 from repro import obs
@@ -68,69 +65,3 @@ def test_prescreen_discharges_obligations(benchmark):
           % (discharged, total))
     assert run.ok and doorlock.ok
     assert discharged >= total / 10
-
-
-def main(argv=None):
-    """Standalone run: lint + verify-with/without-prescreen wall times."""
-    import argparse
-    import json
-    import time
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="OUT", default=None,
-                        help="write a BENCH_analysis.json-style record")
-    args = parser.parse_args(argv)
-
-    obs.enable(trace=False)
-    record = {"benchmark": "analysis", "results": []}
-    prescreened = obs.counter("analysis.obligations_prescreened")
-
-    t0 = time.perf_counter()
-    findings = _lint_workload()
-    lint_wall = time.perf_counter() - t0
-    record["results"].append({
-        "name": "lint_programs", "wall_seconds": lint_wall,
-        "findings": len(findings),
-        "functions": obs.counter("analysis.functions_linted").value,
-    })
-    print("lint (all programs):     %.2fs, %d finding(s)"
-          % (lint_wall, len(findings)))
-
-    p0 = prescreened.value
-    t0 = time.perf_counter()
-    run, doorlock = _verify_workload(prescreen=True)
-    on_wall = time.perf_counter() - t0
-    discharged = prescreened.value - p0
-    total = run.total_obligations + sum(r.obligations
-                                        for r in doorlock.reports)
-    record["results"].append({
-        "name": "verify_prescreen_on", "wall_seconds": on_wall,
-        "obligations": total, "prescreened": discharged,
-    })
-    print("verify (prescreen on):   %.2fs, %d/%d obligations discharged "
-          "abstractly" % (on_wall, discharged, total))
-
-    t0 = time.perf_counter()
-    run_off, doorlock_off = _verify_workload(prescreen=False)
-    off_wall = time.perf_counter() - t0
-    record["results"].append({
-        "name": "verify_prescreen_off", "wall_seconds": off_wall,
-        "obligations": run_off.total_obligations
-        + sum(r.obligations for r in doorlock_off.reports),
-    })
-    print("verify (prescreen off):  %.2fs" % off_wall)
-
-    record["counters"] = {}
-    for prefix in ("analysis.", "solver.", "vcgen."):
-        record["counters"].update(obs.REGISTRY.snapshot(prefix))
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(record, f, indent=2)
-        print("wrote %s" % args.json)
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

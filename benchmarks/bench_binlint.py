@@ -5,15 +5,10 @@ both shipped apps (CFG recovery, the per-function interval/known-bits
 fixpoint, and translation validation) and (b) the static prescreening
 cost the binlint oracle layer adds to one differential-fuzz seed -- the
 layer runs on every generated program, so it must stay a small fraction
-of the execution layers it fronts. The wall times feed
-``benchmarks/baselines.json`` via ``check_regression.py``.
-
-Also runs standalone: ``python benchmarks/bench_binlint.py --json OUT``
-writes a BENCH_binlint.json-style record combining wall times with the
-``analysis.binlint*`` observability counters.
+of the execution layers it fronts. The cost of the analysis is gated
+by perfbench's ``fuzz_diff`` workload, which runs it on every program.
 """
 
-from repro import obs
 from repro.analysis.binlint import BinaryLintConfig, lint_binary_program, \
     lint_image
 from repro.compiler import compile_program
@@ -63,52 +58,3 @@ def test_binlint_fuzz_layer(benchmark):
     """The oracle's static layer over a batch of generated programs."""
     findings = benchmark(_fuzz_layer_workload)
     assert findings == []
-
-
-def main(argv=None):
-    """Standalone run: shipped-app + fuzz-layer binary-lint wall times."""
-    import argparse
-    import json
-    import time
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="OUT", default=None,
-                        help="write a BENCH_binlint.json-style record")
-    args = parser.parse_args(argv)
-
-    obs.enable(trace=False)
-    record = {"benchmark": "binlint", "results": []}
-
-    t0 = time.perf_counter()
-    findings = _shipped_workload()
-    shipped_wall = time.perf_counter() - t0
-    record["results"].append({
-        "name": "binlint_shipped", "wall_seconds": shipped_wall,
-        "findings": len(findings),
-        "functions": obs.counter("analysis.binlint_functions").value,
-    })
-    print("binlint (shipped apps):  %.2fs, %d finding(s)"
-          % (shipped_wall, len(findings)))
-
-    t0 = time.perf_counter()
-    findings = _fuzz_layer_workload()
-    fuzz_wall = time.perf_counter() - t0
-    record["results"].append({
-        "name": "binlint_fuzz_layer", "wall_seconds": fuzz_wall,
-        "findings": len(findings),
-    })
-    print("binlint (4 fuzz seeds):  %.2fs, %d finding(s)"
-          % (fuzz_wall, len(findings)))
-
-    record["counters"] = dict(obs.REGISTRY.snapshot("analysis."))
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(record, f, indent=2)
-        print("wrote %s" % args.json)
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

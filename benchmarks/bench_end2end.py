@@ -6,13 +6,9 @@ stays within goodHlTrace; also reports the spec-checking throughput
 (events matched per second), the analogue of proof-checking time for the
 top-level statement.
 
-Also runs standalone: ``python benchmarks/bench_end2end.py --json OUT``
-writes a BENCH_end2end.json-style record combining wall times with the
-key observability counters (instructions retired, MMIO bus events,
-checkpoints, prefix checks).
+The wall time of both theorem checks is gated by the ``theorem_isa`` and
+``theorem_p4mm`` workloads of ``perfbench/``.
 """
-
-import time
 
 from repro.core.end2end import run_adversarial, run_end_to_end
 from repro.platform.net import lightbulb_packet
@@ -68,61 +64,3 @@ def test_spec_matching_throughput(benchmark):
     print()
     print("spec prefix check over %d events" % len(trace))
     assert matched
-
-
-def main(argv=None):
-    """Standalone run: time the workloads, record wall time + obs counters."""
-    import argparse
-    import json
-    import sys
-
-    from repro import obs
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="OUT", default=None,
-                        help="write a BENCH_end2end.json-style record")
-    args = parser.parse_args(argv)
-
-    obs.enable(trace=False)
-    record = {"benchmark": "end2end", "results": []}
-
-    t0 = time.perf_counter()
-    isa = run_adversarial(seed=2026, n_frames=10, max_units=400_000)
-    isa_wall = time.perf_counter() - t0
-    assert isa.ok, isa.detail
-    record["results"].append({
-        "name": "end2end_theorem_isa", "wall_seconds": isa_wall,
-        "instructions": isa.instructions, "mmio_events": len(isa.trace),
-    })
-    print("isa:  %.2fs, %d instructions, %d MMIO events"
-          % (isa_wall, isa.instructions, len(isa.trace)))
-
-    t0 = time.perf_counter()
-    p4mm = run_end_to_end(frames=[(8, lightbulb_packet(True)),
-                                  (16, lightbulb_packet(False))],
-                          processor="p4mm", max_units=350_000,
-                          checkpoint_every=10_000)
-    p4mm_wall = time.perf_counter() - t0
-    assert p4mm.ok, p4mm.detail
-    record["results"].append({
-        "name": "end2end_theorem_p4mm", "wall_seconds": p4mm_wall,
-        "kami_steps": p4mm.instructions, "mmio_events": len(p4mm.trace),
-    })
-    print("p4mm: %.2fs, %d Kami steps, %d MMIO events"
-          % (p4mm_wall, p4mm.instructions, len(p4mm.trace)))
-
-    record["counters"] = {}
-    for prefix in ("riscv.instructions", "riscv.mmio_", "platform.",
-                   "kami.", "end2end.", "compiler.compiles"):
-        record["counters"].update(obs.REGISTRY.snapshot(prefix))
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(record, f, indent=2)
-        print("wrote %s" % args.json)
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -11,11 +11,9 @@ regression pins itself to a layer:
   number that matters is node instruction-steps per second.
 
 Both run a fixed seed and a fixed topology, so the work is identical
-run-to-run and the wall-clock gate in ``check_regression.py`` compares
-like with like.
+run-to-run. Fleet wall time is gated by perfbench's ``fleet_lossy``
+workload.
 """
-
-import time
 
 from repro.net.fleet import run_fleet, run_fleet_shard
 
@@ -26,7 +24,7 @@ _PROFILE = "lossy"
 
 # The fabric alone is orders of magnitude cheaper than node execution,
 # so it gets a much larger topology and horizon to produce a wall time
-# the 25% regression gate can resolve.
+# that is not lost in timer noise.
 _FAB_NODES = 48
 _FAB_DURATION = 2_000_000
 
@@ -64,56 +62,3 @@ def test_fleet_nodes(benchmark):
     assert summary["violations"] == 0
     assert summary["errors"] == 0
     assert summary["instructions"] == _NODES * _DURATION
-
-
-def main(argv=None):
-    """Standalone run: wall times + throughput numbers, JSON record."""
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="OUT", default=None,
-                        help="write a BENCH_fleet.json-style record")
-    args = parser.parse_args(argv)
-
-    record = {"benchmark": "fleet", "results": []}
-
-    t0 = time.perf_counter()
-    fabric = _fabric_only()
-    wall = time.perf_counter() - t0
-    frames = fabric["switch"]["frames_in"]
-    record["results"].append({
-        "name": "fleet_fabric", "wall_seconds": wall,
-        "frames_switched": frames,
-        "frames_per_second": round(frames / wall),
-    })
-    print("%-14s %7.2fs  %9.0f frames/s" % ("fleet_fabric", wall,
-                                            frames / wall))
-
-    t0 = time.perf_counter()
-    report = _full_fleet()
-    wall = time.perf_counter() - t0
-    summary = report["summary"]
-    record["results"].append({
-        "name": "fleet_nodes", "wall_seconds": wall,
-        "instructions": summary["instructions"],
-        "spec_checks": summary["spec_checks"],
-        "node_steps_per_second": round(summary["instructions"] / wall),
-    })
-    print("%-14s %7.2fs  %9.0f node-steps/s" % ("fleet_nodes", wall,
-                                                summary["instructions"] / wall))
-
-    if summary["violations"] or summary["errors"]:
-        print("FAIL: fleet benchmark run left spec violations/errors")
-        return 1
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(record, f, indent=2)
-        print("wrote %s" % args.json)
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

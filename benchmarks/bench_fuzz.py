@@ -4,15 +4,10 @@ Measures (a) raw program-generation throughput -- the generator must
 stay cheap so fuzzing time is spent in the execution layers, not in
 building ASTs -- and (b) the wall time of a small differential campaign
 (every layer, default profile), which is what the CI smoke-fuzz step and
-`python -m repro fuzz` actually pay per seed. The wall times feed
-``benchmarks/baselines.json`` via ``check_regression.py``.
-
-Also runs standalone: ``python benchmarks/bench_fuzz.py --json OUT``
-writes a BENCH_fuzz.json-style record combining wall times with the
-``fuzz.*`` observability counters.
+`python -m repro fuzz` actually pay per seed. Campaign wall time is
+gated by perfbench's ``fuzz_diff`` workload.
 """
 
-from repro import obs
 from repro.fuzz.generator import GenConfig, generate_program
 from repro.fuzz.oracle import run_campaign
 
@@ -43,57 +38,3 @@ def test_differential_campaign(benchmark):
     report = benchmark.pedantic(_campaign_workload, rounds=1, iterations=1)
     assert report["summary"]["divergences"] == 0
     assert report["summary"]["invalid"] == 0
-
-
-def main(argv=None):
-    """Standalone run: generator + campaign wall times and counters."""
-    import argparse
-    import json
-    import time
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="OUT", default=None,
-                        help="write a BENCH_fuzz.json-style record")
-    args = parser.parse_args(argv)
-
-    obs.enable(trace=False)
-    record = {"benchmark": "fuzz", "results": []}
-
-    t0 = time.perf_counter()
-    programs = _generate_workload()
-    gen_wall = time.perf_counter() - t0
-    record["results"].append({
-        "name": "generate_programs", "wall_seconds": gen_wall,
-        "programs": len(programs),
-        "programs_per_second": len(programs) / gen_wall,
-    })
-    print("generate (%d programs):  %.2fs (%.0f programs/sec)"
-          % (len(programs), gen_wall, len(programs) / gen_wall))
-
-    t0 = time.perf_counter()
-    report = _campaign_workload()
-    campaign_wall = time.perf_counter() - t0
-    summary = report["summary"]
-    record["results"].append({
-        "name": "differential_campaign", "wall_seconds": campaign_wall,
-        "programs": summary["programs"],
-        "divergences": summary["divergences"],
-        "programs_per_second": summary["programs"] / campaign_wall,
-    })
-    print("campaign (%d seeds, 5 layers): %.2fs (%.2f programs/sec, "
-          "%d divergence(s))"
-          % (summary["programs"], campaign_wall,
-             summary["programs"] / campaign_wall, summary["divergences"]))
-
-    record["counters"] = obs.REGISTRY.snapshot("fuzz.")
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(record, f, indent=2)
-        print("wrote %s" % args.json)
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -11,13 +11,9 @@ modes on the full lightbulb + doorlock workload:
 * ``warm``     -- second run against the populated cache
 * ``parallel`` -- cold again but with one worker per core
 
-Also runs standalone: ``python benchmarks/bench_incremental.py --json
-OUT`` writes a BENCH_incremental.json-style record combining wall times
-with the cache/dispatch observability counters.
+The cold and warm wall times are gated by perfbench's ``prove`` workload,
+which runs one cold and one warm round through an on-disk cache.
 """
-
-import shutil
-import tempfile
 
 from repro import obs
 from repro.logic.cache import ProofCache
@@ -68,79 +64,3 @@ def test_parallel_dispatch_matches_sequential(benchmark):
     print("parallel verification across %d workers" % default_jobs())
     assert run.reports == sequential_run.reports
     assert doorlock.reports == sequential_door.reports
-
-
-def main(argv=None):
-    """Standalone run: cold vs warm vs parallel wall time + counters."""
-    import argparse
-    import json
-    import sys
-    import time
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="OUT", default=None,
-                        help="write a BENCH_incremental.json-style record")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="workers for the parallel phase "
-                             "(0 = one per core)")
-    args = parser.parse_args(argv)
-
-    from repro.logic.dispatch import default_jobs
-
-    jobs = args.jobs or default_jobs()
-    obs.enable(trace=False)
-    record = {"benchmark": "incremental", "results": []}
-    tmp = tempfile.mkdtemp(prefix="repro-bench-cache-")
-    try:
-        queries = obs.counter("solver.queries")
-        hits = obs.counter("cache.hits")
-
-        t0 = time.perf_counter()
-        with ProofCache(tmp) as cache:
-            run, _ = _workload(cache=cache)
-        cold_wall = time.perf_counter() - t0
-        record["results"].append({
-            "name": "cold_sequential", "wall_seconds": cold_wall,
-            "functions": len(run.reports),
-            "obligations": run.total_obligations,
-        })
-        print("cold (sequential):  %.2fs, %d obligations"
-              % (cold_wall, run.total_obligations))
-
-        q0, h0 = queries.value, hits.value
-        t0 = time.perf_counter()
-        with ProofCache(tmp) as cache:
-            run, _ = _workload(cache=cache)
-        warm_wall = time.perf_counter() - t0
-        record["results"].append({
-            "name": "warm_cached", "wall_seconds": warm_wall,
-            "cache_hits": hits.value - h0,
-            "solver_queries": queries.value - q0,
-        })
-        print("warm (cached):      %.2fs, %d/%d queries from cache"
-              % (warm_wall, hits.value - h0, queries.value - q0))
-
-        t0 = time.perf_counter()
-        run, _ = _workload(jobs=jobs)
-        par_wall = time.perf_counter() - t0
-        record["results"].append({
-            "name": "cold_parallel", "wall_seconds": par_wall, "jobs": jobs,
-        })
-        print("cold (--jobs %d):    %.2fs" % (jobs, par_wall))
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    record["counters"] = {}
-    for prefix in ("cache.", "dispatch.", "solver.", "vcgen."):
-        record["counters"].update(obs.REGISTRY.snapshot(prefix))
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(record, f, indent=2)
-        print("wrote %s" % args.json)
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

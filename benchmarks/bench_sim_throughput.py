@@ -16,9 +16,10 @@ Measured variants:
   decode cache and block map already populated.
 
 The fast engine must be at least ``MIN_SPEEDUP``x the reference
-(asserted here and in the standalone ``--json`` mode, so the CI bench
-lane fails if the fast path rots); correctness of the speedup is the
-fuzz oracle's "fast" layer and ``tests/test_fast_engine.py``.
+(asserted by ``test_fast_engine_speedup``, which CI's ``benchmarks`` job
+runs, so the job fails if the fast path rots); correctness of the
+speedup is the fuzz oracle's "fast" layer and
+``tests/test_fast_engine.py``.
 """
 
 import time
@@ -39,16 +40,15 @@ def _machine(fast):
         fast=fast)
 
 
-def _throughput(fast, steps=_STEPS, warm=False):
-    """Instructions/second over ``steps`` on the end2end workload."""
+def _throughput(fast, warm=False):
+    """Instructions/second over ``_STEPS`` on the end2end workload."""
     machine = _machine(fast)
     if warm:
-        machine.run(steps)  # populate decode cache + block map
+        machine.run(_STEPS)  # populate decode cache + block map
     start = machine.instret
     t0 = time.perf_counter()
-    machine.run(steps)
-    wall = time.perf_counter() - t0
-    return (machine.instret - start) / wall, wall
+    machine.run(_STEPS)
+    return (machine.instret - start) / (time.perf_counter() - t0)
 
 
 def test_sim_throughput_reference(benchmark):
@@ -69,8 +69,8 @@ def test_sim_throughput_fast_cold(benchmark):
 
 def test_fast_engine_speedup():
     """The acceptance bar: >= MIN_SPEEDUP x instructions/sec."""
-    ref_ips, _ = _throughput(fast=False)
-    fast_ips, _ = _throughput(fast=True, warm=True)
+    ref_ips = _throughput(fast=False)
+    fast_ips = _throughput(fast=True, warm=True)
     speedup = fast_ips / ref_ips
     print()
     print("reference %.0f instr/s, fast (warm) %.0f instr/s: %.1fx"
@@ -78,56 +78,3 @@ def test_fast_engine_speedup():
     assert speedup >= MIN_SPEEDUP, (
         "fast engine only %.2fx over reference (need >= %.1fx)"
         % (speedup, MIN_SPEEDUP))
-
-
-def main(argv=None):
-    """Standalone run: wall times + throughput, obs counters, JSON record."""
-    import argparse
-    import json
-
-    from repro import obs
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="OUT", default=None,
-                        help="write a BENCH_sim_throughput.json-style record")
-    parser.add_argument("--steps", type=int, default=_STEPS,
-                        help="instructions per variant (default %(default)s)")
-    args = parser.parse_args(argv)
-
-    record = {"benchmark": "sim_throughput", "results": []}
-    variants = (
-        ("sim_reference", dict(fast=False)),
-        ("sim_fast_cold", dict(fast=True)),
-        ("sim_fast_warm", dict(fast=True, warm=True)),
-    )
-    ips = {}
-    for name, kwargs in variants:
-        throughput, wall = _throughput(steps=args.steps, **kwargs)
-        ips[name] = throughput
-        record["results"].append({
-            "name": name, "wall_seconds": wall,
-            "instructions": args.steps,
-            "instructions_per_second": round(throughput),
-        })
-        print("%-16s %7.2fs  %9.0f instr/s" % (name, wall, throughput))
-
-    speedup = ips["sim_fast_warm"] / ips["sim_reference"]
-    record["speedup_warm"] = round(speedup, 2)
-    record["counters"] = obs.REGISTRY.snapshot("riscv.")
-    print("fast/reference speedup: %.1fx (floor %.1fx)"
-          % (speedup, MIN_SPEEDUP))
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(record, f, indent=2)
-        print("wrote %s" % args.json)
-    if speedup < MIN_SPEEDUP:
-        print("FAIL: fast engine below the %.1fx throughput floor"
-              % MIN_SPEEDUP)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

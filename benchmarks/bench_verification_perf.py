@@ -5,11 +5,9 @@ after every change ... less than 7.5GB of RAM and 80 minutes per build",
 plus ~2 hours for the Kami refinement proofs. Our analogue times the two
 corresponding activities: (a) the program-logic verification of all
 lightbulb software, and (b) the hardware refinement + interface checks.
-
-Also runs standalone: ``python benchmarks/bench_verification_perf.py
---json OUT`` writes a BENCH_verification_perf.json-style record combining
-wall times with the key observability counters (solver queries per tier,
-SAT decisions/conflicts, obligations proved).
+Their wall times are gated by perfbench: ``prove`` times (a), and
+``theorem_p4mm`` times the Kami processor stepping that (b) spends its
+time in.
 """
 
 from repro.core.integration import (
@@ -44,58 +42,3 @@ def test_hardware_refinement_time(benchmark):
           % (isa.name, "ok" if isa.ok else "FAIL",
              pipe.name, "ok" if pipe.ok else "FAIL"))
     assert isa.ok and pipe.ok
-
-
-def main(argv=None):
-    """Standalone run: time the workloads, record wall time + obs counters."""
-    import argparse
-    import json
-    import sys
-    import time
-
-    from repro import obs
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", metavar="OUT", default=None,
-                        help="write a BENCH_verification_perf.json-style "
-                             "record")
-    args = parser.parse_args(argv)
-
-    obs.enable(trace=False)
-    record = {"benchmark": "verification_perf", "results": []}
-
-    t0 = time.perf_counter()
-    run = verify_all()
-    sw_wall = time.perf_counter() - t0
-    record["results"].append({
-        "name": "software_verification", "wall_seconds": sw_wall,
-        "functions": len(run.reports), "obligations": run.total_obligations,
-    })
-    print("software verification: %.2fs, %d functions, %d obligations"
-          % (sw_wall, len(run.reports), run.total_obligations))
-
-    t0 = time.perf_counter()
-    isa = check_spec_vs_isa()
-    pipe = check_pipeline_refinement()
-    hw_wall = time.perf_counter() - t0
-    assert isa.ok and pipe.ok
-    record["results"].append({
-        "name": "hardware_refinement", "wall_seconds": hw_wall,
-    })
-    print("hardware refinement:   %.2fs (%s, %s)"
-          % (hw_wall, isa.name, pipe.name))
-
-    record["counters"] = {}
-    for prefix in ("solver.", "sat.", "bitblast.", "vcgen.", "kami."):
-        record["counters"].update(obs.REGISTRY.snapshot(prefix))
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(record, f, indent=2)
-        print("wrote %s" % args.json)
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -1,20 +1,18 @@
-"""The committed bench-history store: one JSONL file per benchmark.
+"""The bench-history store: one JSONL file per benchmark.
 
-`check_regression.py` gates CI against a single committed baseline; this
-module keeps the *trajectory* -- every ``BENCH_*.json`` record appended
-as one line under ``benchmarks/history/<benchmark>.jsonl``::
+`perfbench/compare.py` gates a change against its parent; this module
+keeps the *trajectory* -- each run appended as one line under
+``benchmarks/history/<benchmark>.jsonl``::
 
     {"t": "2026-08-09T12:00:00+00:00", "sha": "cd365f9",
-     "results": {"end2end_theorem_isa": 41.0, ...}}
+     "results": {"theorem_isa": 0.071, ...}}
 
 The store is what `python -m repro report` renders as trend sparklines,
 turning the ROADMAP's "fast as the hardware allows" goal into a visible
-line instead of a pair of numbers. Append from CI (or locally) with::
+line instead of a pair of numbers. Append a perfbench suite run (each
+workload's median ``wall_s``, to ``suite.jsonl``) with::
 
-    python benchmarks/check_regression.py BENCH_*.json --update-history
-
-which appends after the regression gate has run (the gate's exit code is
-preserved either way, so a regressed run is still recorded).
+    python3 perfbench/run.py --append-history
 """
 
 import datetime

@@ -373,8 +373,8 @@ def _sparkline(values: List[float], label: str, latest_label: str) -> str:
 def _section_history(history: Dict[str, List[Dict]]) -> str:
     if not history:
         return ('<p class="absent">No bench history found &mdash; append '
-                'runs with <code>python benchmarks/check_regression.py '
-                'BENCH_*.json --update-history</code>.</p>')
+                'runs with <code>python3 perfbench/run.py '
+                '--append-history</code>.</p>')
     sparks = []
     for benchmark in sorted(history):
         entries = history[benchmark]

@@ -172,29 +172,3 @@ def test_history_append_and_load(tmp_path):
     assert list(loaded) == ["bench"]
     assert loaded["bench"][0]["results"] == {"a": 1.2346, "b": 2.0}
     assert [e["sha"] for e in loaded["bench"]] == ["deadbee", "deadbef"]
-
-
-def test_check_regression_update_history(tmp_path):
-    sys.path.insert(0, BENCH_DIR)
-    try:
-        import check_regression
-    finally:
-        sys.path.pop(0)
-    record = str(tmp_path / "BENCH_x.json")
-    with open(record, "w") as fh:
-        json.dump({"benchmark": "end2end",
-                   "results": [{"name": "theorem_isa",
-                                "wall_seconds": 1.0}]}, fh)
-    baselines = str(tmp_path / "baselines.json")
-    with open(baselines, "w") as fh:
-        json.dump({"benchmarks": {"end2end": {"theorem_isa": 1.0}}}, fh)
-    d = str(tmp_path / "hist")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = check_regression.main([record, "--baselines", baselines,
-                                      "--update-history", d])
-    assert code == 0
-    assert "appended end2end run" in out.getvalue()
-    entries = [json.loads(line)
-               for line in open(os.path.join(d, "end2end.jsonl"))]
-    assert entries[0]["results"] == {"theorem_isa": 1.0}
