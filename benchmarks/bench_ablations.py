@@ -30,7 +30,7 @@ def _latency_with_btb(btb_enabled: bool) -> int:
     mem = make_memory_module(compiled.image, ram_words=1 << 14)
     proc = make_pipelined_processor(icache_words=len(compiled.image) // 4 + 4,
                                     btb_enabled=btb_enabled)
-    system = System([proc, mem], plat.kami_world(), snapshot_rollback=False)
+    system = System([proc, mem], plat.kami_world())
     injected = [False]
     cycles = 0
     start = None

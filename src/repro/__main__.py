@@ -86,18 +86,13 @@ def cmd_verify(args) -> int:
         from .logic.cache import ProofCache
 
         cache = ProofCache(args.cache)
-    jobs = args.jobs
-    if jobs == 0:
-        from .logic.dispatch import default_jobs
-
-        jobs = default_jobs()
-    run = verify_all(jobs=jobs, cache=cache, prescreen=args.prescreen)
+    run = verify_all(jobs=args.jobs, cache=cache, prescreen=args.prescreen)
     print(run)
     print("door-lock application (reusing the driver contracts):")
-    doorlock = verify_doorlock(jobs=jobs, cache=cache,
+    doorlock = verify_doorlock(jobs=args.jobs, cache=cache,
                                prescreen=args.prescreen)
     print(doorlock)
-    if args.prescreen and jobs == 1:
+    if args.prescreen:
         prescreened = obs.counter("analysis.obligations_prescreened").value
         print("prescreen: %d obligation(s) discharged abstractly "
               "(no solver query)" % prescreened)
@@ -317,11 +312,6 @@ def cmd_fuzz(args) -> int:
     from .fuzz.oracle import run_campaign
 
     _obs_start(args)
-    if args.jobs == 0:
-        from .logic.dispatch import default_jobs
-
-        args.jobs = default_jobs()
-
     if args.replay:
         from .fuzz.shrink import replay_file
 
@@ -431,10 +421,6 @@ def cmd_fleet(args) -> int:
     from .net import run_fleet
 
     _obs_start(args)
-    if args.jobs == 0:
-        from .logic.dispatch import default_jobs
-
-        args.jobs = default_jobs()
     report = run_fleet(nodes=args.nodes, duration=args.duration,
                        profile=args.profile, seed=args.seed, jobs=args.jobs)
     if args.json:
@@ -640,6 +626,16 @@ def cmd_demo(args) -> int:
     return 0 if ok else 1
 
 
+def _jobs(text: str) -> int:
+    """``--jobs N``: N worker processes, 0 meaning one per core."""
+    jobs = int(text)
+    if jobs == 0:
+        from .logic.dispatch import default_jobs
+
+        return default_jobs()
+    return jobs
+
+
 def main(argv=None) -> int:
     from .fuzz.generator import PROFILES
 
@@ -654,7 +650,7 @@ def main(argv=None) -> int:
                             "(open in Perfetto / chrome://tracing)")
 
     p = sub.add_parser("verify", help="verify the lightbulb software")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                    help="verify N functions in parallel worker processes "
                         "(0 = one per core; default 1)")
     p.add_argument("--cache", metavar="DIR", default=None,
@@ -704,7 +700,7 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", metavar="S1,S2,...", default=None,
                    help="run an adversarial sweep over many seeds "
                         "(overrides --seed)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                    help="parallel worker processes for --seeds sweeps")
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--units", type=int, default=600_000,
@@ -726,7 +722,7 @@ def main(argv=None) -> int:
                    help="first seed (seeds K..K+N-1 are used)")
     p.add_argument("--time-budget", type=float, default=None, metavar="S",
                    help="stop launching new programs after S seconds")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                    help="parallel worker processes (0 = one per core)")
     p.add_argument("--profile", choices=sorted(PROFILES), default="default",
                    help="generator size profile (small = smoke tests)")
@@ -769,7 +765,7 @@ def main(argv=None) -> int:
     p.add_argument("--profile", choices=("clean", "lossy", "chaos"),
                    default="lossy",
                    help="per-link fault profile (default lossy)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                    help="shard nodes over N worker processes (0 = one per "
                         "core); the report is byte-identical across values")
     p.add_argument("--seed", type=int, default=0,

@@ -213,6 +213,87 @@ def _with_reg(state: BinState, rd: int, val: AVal) -> BinState:
                     defined=state.defined | {rd})
 
 
+# ---------------------------------------------------------------------------
+# Instruction transfer
+
+
+def _rop(name: str, a: AVal, b: AVal) -> AVal:
+    if name == "add":
+        return _aval_add(a, b)
+    if name == "sub":
+        return _aval_sub(a, b)
+    op = _R_TO_BEDROCK.get(name)
+    if op is None:  # mulh, mulhsu, div, rem
+        return _top()
+    return AVal(None, _binop(op, _plain(a), _plain(b)))
+
+
+def step_instr(pc: int, instr: Instr, state: BinState) -> BinState:
+    """The state after executing ``instr`` at ``pc`` in ``state``.
+
+    This is the transfer of the lint fixpoint, with no checking: the
+    analyzer reports on an instruction before stepping over it, and
+    `repro.analysis.wcet` re-applies the transfer to stabilized states.
+    Stores through non-sp pointers never alias the frame (see the module
+    docstring), so only sp-relative stores touch the tracked slots."""
+    name = instr.name
+    rd = instr.rd or 0
+    regs = state.regs
+    if name in R_TYPE:
+        return _with_reg(state, rd, _rop(name, regs[instr.rs1 or 0],
+                                         regs[instr.rs2 or 0]))
+    if name in I_ARITH:
+        a = regs[instr.rs1 or 0]
+        imm = _const(instr.imm or 0)
+        if name == "addi":
+            val = _aval_add(a, imm)
+        else:
+            val = AVal(None, _binop(_I_TO_BEDROCK[name], _plain(a),
+                                    imm.word))
+        return _with_reg(state, rd, val)
+    if name in I_SHIFT:
+        val = AVal(None, _binop(_SHIFT_TO_BEDROCK[name],
+                                _plain(regs[instr.rs1 or 0]),
+                                AbstractWord.const(instr.imm or 0)))
+        return _with_reg(state, rd, val)
+    if name == "lui":
+        return _with_reg(state, rd, _const(((instr.imm or 0) << 12) & MASK))
+    if name == "auipc":
+        return _with_reg(state, rd,
+                         _const((pc + ((instr.imm or 0) << 12)) & MASK))
+    if name in LOAD_SIZES:
+        addr = _aval_add(regs[instr.rs1 or 0], _const(instr.imm or 0))
+        val = _top()
+        if (addr.base == SP and LOAD_SIZES[name] == 4
+                and addr.word.is_const() and addr.word.lo % 4 == 0):
+            val = state.slots.get(_signed(addr.word.lo), val)
+        elif name == "lbu":
+            val = AVal(None, AbstractWord(0, 0xFF))
+        elif name == "lhu":
+            val = AVal(None, AbstractWord(0, 0xFFFF))
+        return _with_reg(state, rd, val)
+    if name in STORE_SIZES:
+        addr = _aval_add(regs[instr.rs1 or 0], _const(instr.imm or 0))
+        if addr.base != SP:
+            return state
+        slots = dict(state.slots)
+        size = STORE_SIZES[name]
+        if addr.word.is_const():
+            off = _signed(addr.word.lo)
+            if size == 4 and off % 4 == 0:
+                slots[off] = regs[instr.rs2 or 0]
+            else:
+                for k in list(slots):
+                    if k < off + size and off < k + 4:
+                        del slots[k]
+        else:
+            slots.clear()
+        return BinState(regs=regs, slots=slots, defined=state.defined)
+    if name in ("jal", "jalr"):
+        return _with_reg(state, rd, _const((pc + 4) & MASK))
+    return state  # branches write nothing
+
+
 class _BinDomain(AbstractDomain[BinState]):
     def join(self, a: BinState, b: BinState) -> BinState:
         slots = {k: _aval_join(a.slots[k], b.slots[k])
@@ -374,7 +455,7 @@ class _FunctionAnalyzer:
     def _read(self, state: BinState, r: Optional[int], pc: int,
               instr: Instr, exempt: bool = False) -> AVal:
         assert r is not None
-        if self._checking and not exempt and r not in state.defined:
+        if not exempt and r not in state.defined:
             self._report(
                 "B2A107", pc, instr,
                 "reads %s, which is not written on every path to here "
@@ -385,71 +466,40 @@ class _FunctionAnalyzer:
     def _step(self, pc: int, instr: Instr, state: BinState) -> BinState:
         if self._checking:
             self.result.states[pc] = state
+            self._check(pc, instr, state)
+        return step_instr(pc, instr, state)
+
+    def _check(self, pc: int, instr: Instr, state: BinState) -> None:
+        """Report what executing ``instr`` in ``state`` may get wrong
+        (undefined reads, bad memory accesses) and record program stores
+        for translation validation."""
         name = instr.name
-        if name in R_TYPE:
-            a = self._read(state, instr.rs1, pc, instr)
-            b = self._read(state, instr.rs2, pc, instr)
-            return _with_reg(state, instr.rd or 0, self._rop(name, a, b))
-        if name in I_ARITH:
-            a = self._read(state, instr.rs1, pc, instr)
-            imm = _const(instr.imm or 0)
-            if name == "addi":
-                val = _aval_add(a, imm)
-            else:
-                val = AVal(None, _binop(_I_TO_BEDROCK[name], _plain(a),
-                                        imm.word))
-            return _with_reg(state, instr.rd or 0, val)
-        if name in I_SHIFT:
-            a = self._read(state, instr.rs1, pc, instr)
-            val = AVal(None, _binop(_SHIFT_TO_BEDROCK[name], _plain(a),
-                                    AbstractWord.const(instr.imm or 0)))
-            return _with_reg(state, instr.rd or 0, val)
-        if name == "lui":
-            return _with_reg(state, instr.rd or 0,
-                             _const(((instr.imm or 0) << 12) & MASK))
-        if name == "auipc":
-            return _with_reg(state, instr.rd or 0,
-                             _const((pc + ((instr.imm or 0) << 12)) & MASK))
-        if name in LOAD_SIZES:
+        if name in R_TYPE or name in B_TYPE:
+            self._read(state, instr.rs1, pc, instr)
+            self._read(state, instr.rs2, pc, instr)
+        elif name in I_ARITH or name in I_SHIFT or name == "jalr":
+            self._read(state, instr.rs1, pc, instr)
+        elif name in LOAD_SIZES:
             addr = _aval_add(self._read(state, instr.rs1, pc, instr),
                              _const(instr.imm or 0))
-            val = self._load(pc, instr, addr, state)
-            return _with_reg(state, instr.rd or 0, val)
-        if name in STORE_SIZES:
+            self._classify(pc, instr, addr, LOAD_SIZES[name], state)
+        elif name in STORE_SIZES:
             addr = _aval_add(self._read(state, instr.rs1, pc, instr),
                              _const(instr.imm or 0))
             # A prologue save reads a callee-saved register precisely to
             # preserve it; only flag non-frame stores as reads.
             value = self._read(state, instr.rs2, pc, instr,
                                exempt=addr.base == SP)
-            return self._store(pc, instr, addr, value, state)
-        if name in B_TYPE:
-            self._read(state, instr.rs1, pc, instr)
-            self._read(state, instr.rs2, pc, instr)
-            return state
-        if name == "jal":
-            return _with_reg(state, instr.rd or 0, _const((pc + 4) & MASK))
-        if name == "jalr":
-            self._read(state, instr.rs1, pc, instr)
-            return _with_reg(state, instr.rd or 0, _const((pc + 4) & MASK))
-        return state
-
-    def _rop(self, name: str, a: AVal, b: AVal) -> AVal:
-        if name == "add":
-            return _aval_add(a, b)
-        if name == "sub":
-            return _aval_sub(a, b)
-        op = _R_TO_BEDROCK.get(name)
-        if op is None:  # mulh, mulhsu, div, rem
-            return _top()
-        return AVal(None, _binop(op, _plain(a), _plain(b)))
+            self._classify(pc, instr, addr, STORE_SIZES[name], state)
+            if instr.rs1 != SP:
+                self.result.stores.append((pc, instr, _plain(value)))
 
     # -- memory classification ------------------------------------------
 
     def _classify(self, pc: int, instr: Instr, addr: AVal, size: int,
-                  state: BinState) -> str:
-        """\"stack\" | \"pointer\" | \"ram\" | \"mmio\" | \"bad\", reporting
-        B2A102/B2A103/B2A105 along the way (when checking)."""
+                  state: BinState) -> None:
+        """Classify an access as stack, caller pointer, RAM or MMIO,
+        reporting B2A102/B2A103/B2A105 when it is none of them."""
         if addr.base == SP:
             off = addr.word
             self._check_below_sp(pc, instr, off, state)
@@ -457,10 +507,10 @@ class _FunctionAnalyzer:
                 self._report("B2A103", pc, instr,
                              "provably misaligned %d-byte stack access"
                              % size)
-            return "stack"
+            return
         if addr.base is not None:
             # Caller-provided pointer: the caller's obligation.
-            return "pointer"
+            return
         w = addr.word
         ram_lo, ram_hi = self.config.ram
         if ram_lo <= w.lo and w.hi < ram_hi:
@@ -468,31 +518,27 @@ class _FunctionAnalyzer:
                 self._report("B2A103", pc, instr,
                              "provably misaligned %d-byte RAM access"
                              % size)
-                return "bad"
-            return "ram"
+            return
         for lo, hi in self.config.mmio_ranges:
             if lo <= w.lo and w.hi < hi:
                 if size != 4:
                     self._report("B2A103", pc, instr,
                                  "MMIO access is not word-sized "
                                  "(%d bytes)" % size)
-                    return "bad"
-                if (w.bits.known_zeros() & 3) != 3:
+                elif (w.bits.known_zeros() & 3) != 3:
                     self._report("B2A103", pc, instr,
                                  "MMIO access not provably word-aligned "
                                  "(abstract address [0x%x, 0x%x])"
                                  % (w.lo, w.hi))
-                    return "bad"
-                return "mmio"
+                return
         if self._disjoint_from_map(w):
             self._report("B2A103", pc, instr,
                          "access outside the platform address map "
                          "(abstract address [0x%x, 0x%x])" % (w.lo, w.hi))
-            return "bad"
+            return
         self._report("B2A102", pc, instr,
                      "cannot classify access as owned RAM vs MMIO "
                      "(abstract address [0x%x, 0x%x])" % (w.lo, w.hi))
-        return "bad"
 
     def _disjoint_from_map(self, w: AbstractWord) -> bool:
         regions = (self.config.ram,) + self.config.mmio_ranges
@@ -510,45 +556,6 @@ class _FunctionAnalyzer:
                 "access at sp%+d is provably below the stack pointer "
                 "(sp = entry sp%+d)"
                 % (_signed(off.lo), _signed(sp_val.word.lo)))
-
-    def _load(self, pc: int, instr: Instr, addr: AVal,
-              state: BinState) -> AVal:
-        size = LOAD_SIZES[instr.name]
-        kind = self._classify(pc, instr, addr, size, state)
-        if kind == "stack" and size == 4 and addr.word.is_const() \
-                and addr.word.lo % 4 == 0:
-            slot = state.slots.get(_signed(addr.word.lo))
-            if slot is not None:
-                return slot
-        if instr.name == "lbu":
-            return AVal(None, AbstractWord(0, 0xFF))
-        if instr.name == "lhu":
-            return AVal(None, AbstractWord(0, 0xFFFF))
-        return _top()
-
-    def _store(self, pc: int, instr: Instr, addr: AVal, value: AVal,
-               state: BinState) -> BinState:
-        size = STORE_SIZES[instr.name]
-        kind = self._classify(pc, instr, addr, size, state)
-        if self._checking and instr.rs1 != SP:
-            self.result.stores.append((pc, instr, _plain(value)))
-        if kind != "stack":
-            # Non-sp-based stores never alias the frame (see module
-            # docstring); slots survive.
-            return state
-        slots = dict(state.slots)
-        if addr.word.is_const():
-            off = _signed(addr.word.lo)
-            if size == 4 and off % 4 == 0:
-                slots[off] = value
-            else:
-                for k in list(slots):
-                    if k < off + size and off < k + 4:
-                        del slots[k]
-        else:
-            slots.clear()
-        return BinState(regs=state.regs, slots=slots,
-                        defined=state.defined)
 
     # -- control flow ---------------------------------------------------
 

@@ -51,10 +51,10 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 from .. import obs
 from ..riscv.insts import I_ARITH, I_SHIFT, R_TYPE, Instr
 from .binlint import (ARG_REGS, LOAD_SIZES, SCRATCH_REGS, STORE_SIZES,
-                      AVal, BinState, BinaryLintConfig, FunctionAnalysis,
-                      ImageAnalysis, _aval_add, _aval_sub, _binop, _const,
-                      _plain, _signed, _top, _with_reg, _I_TO_BEDROCK,
-                      _R_TO_BEDROCK, _SHIFT_TO_BEDROCK, analyze_image)
+                      BinState, BinaryLintConfig, FunctionAnalysis,
+                      ImageAnalysis, _binop, _plain, _signed, _top,
+                      _I_TO_BEDROCK, _R_TO_BEDROCK, _SHIFT_TO_BEDROCK,
+                      analyze_image, step_instr)
 from .cfg import RA, SP, BasicBlock, BinFunction, BinaryCFG, call_graph
 from .costmodel import CostModel, check_pipeline_drift, pipeline_cost_model
 from .domains import MASK, AbstractWord
@@ -298,79 +298,7 @@ def _is_spin(fn: BinFunction, loop: _Loop) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Interval mini-interpreter (sound re-application of binlint's transfer,
-# used to push stabilized in-states to a block's exit)
-
-
-def _step_plain(pc: int, instr: Instr, state: BinState) -> BinState:
-    name = instr.name
-    if name in R_TYPE:
-        a, b = state.regs[instr.rs1 or 0], state.regs[instr.rs2 or 0]
-        if name == "add":
-            val = _aval_add(a, b)
-        elif name == "sub":
-            val = _aval_sub(a, b)
-        else:
-            op = _R_TO_BEDROCK.get(name)
-            val = (_top() if op is None
-                   else AVal(None, _binop(op, _plain(a), _plain(b))))
-        return _with_reg(state, instr.rd or 0, val)
-    if name in I_ARITH:
-        a = state.regs[instr.rs1 or 0]
-        imm = _const(instr.imm or 0)
-        if name == "addi":
-            val = _aval_add(a, imm)
-        else:
-            val = AVal(None, _binop(_I_TO_BEDROCK[name], _plain(a),
-                                    imm.word))
-        return _with_reg(state, instr.rd or 0, val)
-    if name in I_SHIFT:
-        a = state.regs[instr.rs1 or 0]
-        val = AVal(None, _binop(_SHIFT_TO_BEDROCK[name], _plain(a),
-                                AbstractWord.const(instr.imm or 0)))
-        return _with_reg(state, instr.rd or 0, val)
-    if name == "lui":
-        return _with_reg(state, instr.rd or 0,
-                         _const(((instr.imm or 0) << 12) & MASK))
-    if name == "auipc":
-        return _with_reg(state, instr.rd or 0,
-                         _const((pc + ((instr.imm or 0) << 12)) & MASK))
-    if name in LOAD_SIZES:
-        addr = _aval_add(state.regs[instr.rs1 or 0],
-                         _const(instr.imm or 0))
-        val = _top()
-        if (addr.base == SP and LOAD_SIZES[name] == 4
-                and addr.word.is_const() and addr.word.lo % 4 == 0):
-            val = state.slots.get(_signed(addr.word.lo), _top())
-        elif name == "lbu":
-            val = AVal(None, AbstractWord(0, 0xFF))
-        elif name == "lhu":
-            val = AVal(None, AbstractWord(0, 0xFFFF))
-        return _with_reg(state, instr.rd or 0, val)
-    if name in STORE_SIZES:
-        addr = _aval_add(state.regs[instr.rs1 or 0],
-                         _const(instr.imm or 0))
-        if addr.base != SP:
-            # Non-sp stores never alias the frame (binlint's checked
-            # store discipline); slots survive.
-            return state
-        slots = dict(state.slots)
-        size = STORE_SIZES[name]
-        if addr.word.is_const():
-            off = _signed(addr.word.lo)
-            if size == 4 and off % 4 == 0:
-                slots[off] = state.regs[instr.rs2 or 0]
-            else:
-                for k in list(slots):
-                    if k < off + size and off < k + 4:
-                        del slots[k]
-        else:
-            slots.clear()
-        return BinState(regs=state.regs, slots=slots,
-                        defined=state.defined)
-    if name in ("jal", "jalr"):
-        return _with_reg(state, instr.rd or 0, _const((pc + 4) & MASK))
-    return state  # branches write nothing
+# Block exits: binlint's transfer re-applied to its stabilized in-states
 
 
 def _havoc_call(state: BinState) -> BinState:
@@ -388,7 +316,7 @@ def _block_out(analysis: FunctionAnalysis,
     if state is None:
         return None
     for pc, instr in block.instrs:
-        state = _step_plain(pc, instr, state)
+        state = step_instr(pc, instr, state)
     if block.kind == "call":
         state = _havoc_call(state)
     return state
@@ -500,7 +428,7 @@ def _aff_step(st: _AffState, pc: int, instr: Instr) -> None:
                     if k < off + size and off < k + 4:
                         st.slots[k] = None
                 st.hazy = True
-        # Non-sp stores never alias the frame (see _step_plain).
+        # Non-sp stores never alias the frame (see binlint.step_instr).
     elif name == "jal":
         write(instr.rd, ("c", (pc + 4) & MASK))
     # branches and jalr terminators are handled by the walker
@@ -614,7 +542,7 @@ def _entry_bound(fn: BinFunction, loop: _Loop, rt: int,
             continue  # unreachable preheader constrains nothing
         header = fn.blocks[loop.header]
         for pc, instr in header.instrs[:-1]:
-            state = _step_plain(pc, instr, state)
+            state = step_instr(pc, instr, state)
         w = _plain(state.regs[rt])
         if w.hi > config.max_inferred_bound:
             return None

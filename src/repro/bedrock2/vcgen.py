@@ -259,11 +259,10 @@ class VC:
     """The verification-condition engine shared by a whole run: fresh-name
     supply, obligation discharge, and statistics.
 
-    ``record_timeouts`` (the default) makes a per-obligation SAT-budget
-    exhaustion a recorded ``timeout`` status in the final report instead
-    of an exception that aborts the whole run -- one stuck VC must not
-    take down a parallel batch of otherwise-decidable obligations. Pass
-    ``record_timeouts=False`` to get the old abort-on-timeout behavior.
+    A per-obligation SAT-budget exhaustion is a recorded ``timeout``
+    status in the final report, not an exception that aborts the whole
+    run -- one stuck VC must not take down the otherwise-decidable
+    obligations around it.
 
     ``prescreen`` is an optional ``(state, goal) -> bool`` hook consulted
     before the solver; returning True means the goal is *proved* under
@@ -275,12 +274,10 @@ class VC:
     """
 
     def __init__(self, max_conflicts: int = 2_000_000,
-                 record_timeouts: bool = True,
                  prescreen: Optional[Callable[["SymState", T.Term], bool]] = None,
                  function: str = ""):
         self._counter = itertools.count()
         self.max_conflicts = max_conflicts
-        self.record_timeouts = record_timeouts
         self.prescreen = prescreen
         self.function = function
         #: eDSL source location of the statement currently executing
@@ -356,8 +353,6 @@ class VC:
                 if led is not None:
                     self._ledger(led, state, goal, context, "timeout",
                                  snapshot, t0)
-                if not self.record_timeouts:
-                    raise
                 # Distinguish the budget-exceeded VC from a refuted one:
                 # it is *unknown*, recorded per obligation, and the rest
                 # of the run proceeds.
@@ -829,7 +824,6 @@ def verify_function(program: Program, fname: str, spec: FunctionSpec,
                     ext_spec, contracts: Optional[Dict[str, Contract]] = None,
                     unroll_limit: int = 64,
                     max_conflicts: int = 2_000_000,
-                    record_timeouts: bool = True,
                     prescreen: Optional[Callable[[SymState, T.Term], bool]] = None,
                     ) -> VerifyReport:
     """Verify ``program[fname]`` against ``spec``.
@@ -841,8 +835,8 @@ def verify_function(program: Program, fname: str, spec: FunctionSpec,
     `VC` (see there for the soundness contract).
     """
     fn = program[fname]
-    vc = VC(max_conflicts=max_conflicts, record_timeouts=record_timeouts,
-            prescreen=prescreen, function=fname)
+    vc = VC(max_conflicts=max_conflicts, prescreen=prescreen,
+            function=fname)
     state = SymState()
     args = tuple(vc.fresh(p) for p in fn.params)
     state.locals = dict(zip(fn.params, args))

@@ -253,11 +253,6 @@ def run_adversarial_suite(seeds: Sequence[int], n_frames: int = 12,
     (with counters merged back into this process's registry) regardless
     of worker scheduling.
     """
-    if jobs is None or jobs == 1 or len(seeds) <= 1:
-        return [run_adversarial(seed, n_frames=n_frames,
-                                processor=processor, max_units=max_units,
-                                fast=fast)
-                for seed in seeds]
     from ..logic.dispatch import parallel_call
 
     kwargs_list = [{"seed": seed, "n_frames": n_frames,

@@ -136,8 +136,7 @@ TABLE4_LAYERS: Dict[str, Tuple[List[str], List[str], List[str]]] = {
     ),
     "platform devices": (
         ["platform/bus.py", "platform/gpio.py", "platform/spi.py",
-         "platform/lan9250.py", "platform/dma.py", "platform/net.py",
-         "platform/fe310.py"],
+         "platform/lan9250.py", "platform/dma.py", "platform/net.py"],
         [],
         [],
     ),

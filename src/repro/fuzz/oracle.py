@@ -47,8 +47,8 @@ obligation that evaluates false on the concretely-taken path is a logic
 divergence.
 
 `run_fuzz_seed` is the picklable unit of work dispatched by
-`repro.logic.dispatch.parallel_call`; per-layer runtimes are counters
-(merged across workers), not histograms (which worker pools drop).
+`repro.logic.dispatch.parallel_call`; per-layer runtimes are counters,
+merged across workers.
 """
 
 from __future__ import annotations
@@ -296,8 +296,7 @@ def _run_kami_spec(compiled, n_rets: int, ref_instret: int) -> LayerOutcome:
     mem_mod = kami_memory.make_memory_module(compiled.image,
                                              ram_words=_RAM_WORDS)
     proc = make_spec_processor()
-    system = System([proc, mem_mod], DeviceWorld(dev),
-                    snapshot_rollback=False)
+    system = System([proc, mem_mod], DeviceWorld(dev))
     budget = ref_instret + 64
     system.run(budget, stop=lambda s: proc.regs["pc"] == compiled.halt_pc)
     if proc.regs["pc"] != compiled.halt_pc:
@@ -323,8 +322,7 @@ def _run_kami_pipelined(compiled, n_rets: int, ref_instret: int,
                                              ram_words=_RAM_WORDS)
     icache_words = len(compiled.image) // 4 + 4
     proc = kami_pipeline.make_pipelined_processor(icache_words=icache_words)
-    system = System([proc, mem_mod], DeviceWorld(dev),
-                    snapshot_rollback=False)
+    system = System([proc, mem_mod], DeviceWorld(dev))
     budget = icache_words + 24 * ref_instret + 600
 
     def snapshot() -> LayerOutcome:

@@ -56,8 +56,10 @@ class StepLabel:
 
 class RuleAbort(Exception):
     """Raised inside a rule body to signal the rule is not enabled under the
-    current state (its guard failed mid-computation). The step is rolled
-    back -- Kami rules are atomic."""
+    current state. Kami rules are atomic, and the scheduler keeps them so
+    by discipline rather than by rollback: a rule raises it before its
+    first register write or external call (guards precede effects), so an
+    aborted attempt has changed nothing."""
 
 
 class ExternalWorld:
@@ -100,19 +102,9 @@ class System:
     invisible, as in the paper's trace definition.
     """
 
-    def __init__(self, modules: Sequence[Module], external: ExternalWorld,
-                 rule_order: Optional[Sequence[str]] = None,
-                 snapshot_rollback: bool = True):
-        """``snapshot_rollback=False`` skips the per-attempt register
-        snapshot; it is sound exactly when every rule raises `RuleAbort`
-        only *before* its first state mutation (guards precede effects).
-        The processor modules are written in that discipline and are run
-        this way for simulation speed;
-        `tests/test_kami_scheduling.py::test_rollback_modes_agree_on_lightbulb`
-        cross-checks both modes agree."""
+    def __init__(self, modules: Sequence[Module], external: ExternalWorld):
         self.modules = list(modules)
         self.external = external
-        self.snapshot_rollback = snapshot_rollback
         for module in self.modules:
             module.sys = self  # rule/method bodies dispatch through the system
         self._methods: Dict[str, Tuple[Module, Callable]] = {}
@@ -125,11 +117,6 @@ class System:
         for module in self.modules:
             for rname, fn in module.rules:
                 self._rules.append(("%s.%s" % (module.name, rname), module, fn))
-        if rule_order is not None:
-            by_name = {name: (name, m, f) for name, m, f in self._rules}
-            if set(by_name) != set(rule_order):
-                raise ValueError("rule_order must mention every rule exactly once")
-            self._rules = [by_name[n] for n in rule_order]
         self.trace: List[StepLabel] = []
         #: ``trace`` projected onto MMIO triples, extended as each label
         #: is recorded. Read-only to callers; `mmio_trace` copies it.
@@ -159,19 +146,15 @@ class System:
     def _try_rule(self, name: str, module: Module,
                   fn: Callable) -> Optional[StepLabel]:
         """Attempt one rule. If it fires, record the firing and return its
-        label; if it aborts, roll back and return None. The scheduler
-        allocates nothing for a silent firing or an abort: the
-        pending-call list is replaced only after a labeled firing."""
-        if self.snapshot_rollback:
-            snapshots = [(m, _snapshot_regs(m.regs)) for m in self.modules]
+        label; if it aborts, return None (see `RuleAbort`: the rule has
+        changed nothing). The scheduler allocates nothing for a silent
+        firing or an abort: the pending-call list is replaced only after
+        a labeled firing."""
         pending = self._pending_calls
         try:
             fn(module)
         except RuleAbort:
             _STALLS.value += 1
-            if self.snapshot_rollback:
-                for m, snap in snapshots:
-                    m.regs = snap
             if pending:
                 # Device state cannot be rolled back; rules must evaluate
                 # their guards before performing external calls.
@@ -263,24 +246,13 @@ class System:
         return list(self.mmio_events)
 
 
-def _snapshot_regs(regs: Dict[str, object]) -> Dict[str, object]:
-    snap: Dict[str, object] = {}
-    for key, value in regs.items():
-        if isinstance(value, list):
-            snap[key] = list(value)
-        elif isinstance(value, dict):
-            snap[key] = dict(value)
-        else:
-            snap[key] = value
-    return snap
-
-
 class Fifo:
     """A bounded FIFO queue register helper (the ■ boxes of paper Fig. 4).
 
     Stored in a module register as a plain list; these helpers raise
-    `RuleAbort` on enq-when-full / deq-when-empty, so rules using them are
-    correctly disabled and rolled back."""
+    `RuleAbort` on enq-when-full / deq-when-empty before touching the
+    queue, so a rule that calls them ahead of its other effects is
+    correctly disabled."""
 
     def __init__(self, module: Module, name: str, capacity: int):
         self.module = module

@@ -60,25 +60,20 @@ def match_trace_prefix(impl_trace: List[Tuple[str, int, int]],
 
 
 def build_spec_system(image: bytes, world: ExternalWorld,
-                      ram_words: int = 1 << 16,
-                      snapshot_rollback: bool = False) -> System:
-    """Single-cycle spec processor attached to memory and ``world``.
-
-    The processor rules follow the guards-before-effects discipline, so the
-    fast no-snapshot scheduler is sound (see `repro.kami.framework.System`)."""
+                      ram_words: int = 1 << 16) -> System:
+    """Single-cycle spec processor attached to memory and ``world``."""
     mem = make_memory_module(image, ram_words=ram_words)
     proc = make_spec_processor()
-    return System([proc, mem], world, snapshot_rollback=snapshot_rollback)
+    return System([proc, mem], world)
 
 
 def build_pipelined_system(image: bytes, world: ExternalWorld,
                            ram_words: int = 1 << 16,
-                           icache_words: int = 4096,
-                           snapshot_rollback: bool = False) -> System:
+                           icache_words: int = 4096) -> System:
     """The paper's p4mm: pipelined processor + I$ + BTB + memory."""
     mem = make_memory_module(image, ram_words=ram_words)
     proc = make_pipelined_processor(icache_words=icache_words)
-    return System([proc, mem], world, snapshot_rollback=snapshot_rollback)
+    return System([proc, mem], world)
 
 
 def check_refinement(image: bytes, make_world: Callable[[], ExternalWorld],

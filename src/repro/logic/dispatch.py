@@ -1,40 +1,40 @@
-"""Parallel discharge of independent verification work.
+"""Parallel fan-out of independent work: `parallel_call`.
 
 The program logic is modular: `repro.bedrock2.vcgen` emits obligations
 per function and "re-verifying one function never revisits the others",
-so whole-function verification tasks -- and raw VC batches -- are
-embarrassingly parallel. This module farms them to a
-`multiprocessing` pool (``--jobs N`` on the CLI) and merges the results
-back **deterministically**: outputs are consumed in task-submission
-order regardless of which worker finished first, so ``--jobs 4``
-produces bit-identical reports, counterexamples, and proof-cache files
-to ``--jobs 1``.
+so whole-function verification tasks -- like fuzz seeds, end-to-end
+seeds and fleet shards -- are embarrassingly parallel. `parallel_call`
+runs them, ``jobs`` at a time, on a process pool (``--jobs N`` on the
+CLI) and merges the results back **deterministically**: outputs are
+consumed in task-submission order regardless of which worker finished
+first, so ``--jobs 4`` produces bit-identical reports, counterexamples,
+and proof-cache files to ``--jobs 1``. At ``jobs <= 1`` (or for a single
+task) the same function runs in this process instead.
 
 What crosses the process boundary is kept picklable by construction:
 
-* **payloads**: `Obligation` (terms pickle through the interning
-  constructor, see `terms.Term.__reduce__`), task-name strings for
-  whole-function verification, and ``module:function`` paths plus kwargs
-  for generic calls;
-* **results**: per-task `(status, model/report, counter deltas, fresh
-  cache entries, wall seconds, observability extras)` tuples -- never
-  live exceptions, which do not round-trip through pickle reliably;
-  failures are re-raised in the parent, earliest submitted task first.
-  The extras dict ships the worker's histogram deltas, trace events
-  (rebased onto the parent clock and re-stamped with the worker pid),
-  and verification-ledger records back to the parent, merged in
-  task-submission order so ``--jobs N`` aggregation is deterministic.
+* **payloads**: a ``module:function`` path plus one kwargs dict per
+  task (terms pickle through the interning constructor, see
+  `terms.Term.__reduce__`);
+* **results**: per task, the function's result or the exception it
+  raised, plus counter deltas, fresh proof-cache entries, wall seconds
+  and observability extras. The extras dict ships the worker's
+  histogram deltas, trace events (rebased onto the parent clock and
+  re-stamped with the worker pid), and verification-ledger records back
+  to the parent, merged in task-submission order so ``--jobs N``
+  aggregation is deterministic.
 
-Each task runs under a **per-task budget** (its own ``max_conflicts``
-solver allowance) and a private proof cache seeded from the parent's
+Failures are re-raised in the parent, earliest submitted task first, as
+the exception the task raised -- the same one a ``jobs=1`` run raises.
+An exception that does not survive pickling becomes a `DispatchError`
+naming it. A worker that dies (killed by a signal, say) breaks the pool:
+the parent raises `concurrent.futures.process.BrokenProcessPool` instead
+of waiting for a result that never comes.
+
+Each task runs with a private proof cache seeded from the parent's
 entries, so worker behavior depends only on the submitted payload --
 never on scheduling -- and new entries flow back for the parent to
 persist.
-
-A timed-out VC (`solver.SolverTimeout`, i.e. the SAT backend's
-`BudgetExceeded` for that one query) never aborts a batch: it is
-reported as a per-obligation ``timeout`` status and the remaining
-obligations proceed.
 
 Observability: ``dispatch.tasks``, ``dispatch.batches``,
 ``dispatch.task_seconds`` (histogram), and per-task
@@ -44,14 +44,11 @@ Observability: ``dispatch.tasks``, ``dispatch.batches``,
 from __future__ import annotations
 
 import importlib
-import multiprocessing
 import os
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import solver as S
-from . import terms as T
 from .. import obs
 from .cache import ProofCache
 
@@ -65,37 +62,24 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-# ---------------------------------------------------------------------------
-# Payloads
+class DispatchError(Exception):
+    """A dispatched task raised an exception that cannot cross the
+    process boundary; carries its type name, the task's function path,
+    and its message."""
+
+    def __init__(self, kind: str, context: str, detail: str):
+        self.kind = kind
+        self.context = context
+        self.detail = detail
+        super().__init__("%s in %s: %s" % (kind, context, detail))
+
+    def __reduce__(self):
+        return (DispatchError, (self.kind, self.context, self.detail))
 
 
-@dataclass
-class Obligation:
-    """One picklable verification condition: prove ``hypotheses |= goal``
-    within a ``max_conflicts`` SAT budget."""
-
-    goal: T.Term
-    hypotheses: Tuple[T.Term, ...] = ()
-    context: str = ""
-    max_conflicts: int = 2_000_000
-
-
-@dataclass
-class ObligationResult:
-    """Outcome of one dispatched obligation.
-
-    ``status`` is ``"proved"``, ``"refuted"`` (with the countermodel in
-    ``model``), or ``"timeout"`` (the per-obligation budget ran out --
-    the rest of the batch is unaffected).
-    """
-
-    context: str
-    status: str
-    model: Optional[Dict[str, int]] = None
-
-    @property
-    def proved(self) -> bool:
-        return self.status == "proved"
+def _resolve(func_path: str) -> Callable:
+    module_name, _, attr = func_path.partition(":")
+    return getattr(importlib.import_module(module_name), attr)
 
 
 # ---------------------------------------------------------------------------
@@ -174,81 +158,54 @@ def _histogram_delta(before: Dict[str, tuple]) -> Dict[str, tuple]:
     return delta
 
 
-class TaskEnv:
-    """Per-task worker environment: a private cache seeded from the
-    parent (so results depend only on the payload, not on which worker
-    ran which earlier task) and a counter baseline for delta reporting.
+def _portable(err: Exception, func_path: str) -> Exception:
+    """``err`` itself if it survives a pickle round trip, else a
+    `DispatchError` describing it."""
+    import pickle
 
-    Higher layers defining their own worker functions (e.g.
-    `repro.sw.verify`'s whole-function tasks) enter this around the task
-    body and return ``(index, payload, None, error, *env.outcome())``
-    from the worker so `run_pool` can merge the bookkeeping."""
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        self.before = _counter_values()
-        self.hist_before = _histogram_values()
-        tr = obs.tracer()
-        self.trace_mark = len(tr.events) if tr is not None else 0
-        led = obs.ledger()
-        self.ledger_mark = led.mark() if led is not None else 0
-        self.cache = (ProofCache.from_entries(_SEED_ENTRIES)
-                      if _USE_CACHE else None)
-        self.previous = S.set_cache(self.cache)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        S.set_cache(self.previous)
-
-    def outcome(self) -> Tuple[Dict[str, int], List[tuple], float, Dict]:
-        fresh = self.cache.fresh_entries() if self.cache is not None else []
-        extras: Dict = {"pid": os.getpid()}
-        hist = _histogram_delta(self.hist_before)
-        if hist:
-            extras["hist"] = hist
-        tr = obs.tracer()
-        if tr is not None and len(tr.events) > self.trace_mark:
-            extras["events"] = tr.events[self.trace_mark:]
-            extras["trace_t0"] = tr.t0
-        led = obs.ledger()
-        if led is not None:
-            records = led.since(self.ledger_mark)
-            if records:
-                extras["ledger"] = records
-        return (_counter_delta(self.before), fresh,
-                time.perf_counter() - self.t0, extras)
+    try:
+        pickle.loads(pickle.dumps(err))
+    except Exception:
+        return DispatchError(type(err).__name__, func_path, str(err))
+    return err
 
 
-def _worker_discharge(task: Tuple[int, Obligation]):
-    index, ob = task
-    with TaskEnv() as env:
-        model = None
+def _worker_call(task: Tuple[str, dict]) -> tuple:
+    """Run one task in a pool worker and return ``(result, error,
+    counter deltas, fresh cache entries, wall seconds, extras)``.
+
+    The task sees a private cache seeded from the parent's entries, so
+    its result depends only on the payload, not on which worker ran
+    which earlier task."""
+    func_path, kwargs = task
+    t0 = time.perf_counter()
+    counters_before = _counter_values()
+    hist_before = _histogram_values()
+    tr = obs.tracer()
+    trace_mark = len(tr.events) if tr is not None else 0
+    led = obs.ledger()
+    ledger_mark = led.mark() if led is not None else 0
+    cache = ProofCache.from_entries(_SEED_ENTRIES) if _USE_CACHE else None
+    result = error = None
+    with S.cached(cache):
         try:
-            result = S.check_valid(ob.goal, ob.hypotheses,
-                                   max_conflicts=ob.max_conflicts)
-            if result.valid:
-                status = "proved"
-            else:
-                status, model = "refuted", result.model
-        except S.SolverTimeout:
-            status = "timeout"
-        counters, fresh, wall, extras = env.outcome()
-    return index, status, model, None, counters, fresh, wall, extras
-
-
-def _worker_call(task: Tuple[int, str, dict]):
-    index, func_path, kwargs = task
-    module_name, _, attr = func_path.partition(":")
-    fn = getattr(importlib.import_module(module_name), attr)
-    with TaskEnv() as env:
-        result = None
-        error = None
-        try:
-            result = fn(**kwargs)
-        except Exception as err:  # surfaced (re-raised) in the parent
-            error = (type(err).__name__, func_path, str(err), None)
-        counters, fresh, wall, extras = env.outcome()
-    return index, result, None, error, counters, fresh, wall, extras
+            result = _resolve(func_path)(**kwargs)
+        except Exception as err:  # re-raised in the parent
+            error = _portable(err, func_path)
+    fresh = cache.fresh_entries() if cache is not None else []
+    extras: Dict = {"pid": os.getpid()}
+    hist = _histogram_delta(hist_before)
+    if hist:
+        extras["hist"] = hist
+    if tr is not None and len(tr.events) > trace_mark:
+        extras["events"] = tr.events[trace_mark:]
+        extras["trace_t0"] = tr.t0
+    if led is not None:
+        records = led.since(ledger_mark)
+        if records:
+            extras["ledger"] = records
+    return (result, error, _counter_delta(counters_before), fresh,
+            time.perf_counter() - t0, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +221,12 @@ def _merge_counters(delta: Dict[str, int]) -> None:
             obs.counter(name).inc(value)
 
 
-def _merge_extras(extras: Optional[Dict]) -> None:
+def _merge_extras(extras: Dict) -> None:
     """Fold one worker task's observability extras into this process:
     histogram deltas into the registry, trace events into the parent
     tracer (rebased + pid-stamped), ledger records into the parent
     ledger. Called in task-submission order, so the merged state is
     independent of worker scheduling."""
-    if not extras:
-        return
     pid = extras.get("pid")
     for name, delta in extras.get("hist", {}).items():
         obs.histogram(name).merge(*delta)
@@ -285,104 +240,54 @@ def _merge_extras(extras: Optional[Dict]) -> None:
         led.absorb(records, pid=pid)
 
 
-def run_pool(worker: Callable, tasks: List[tuple], jobs: int,
-             cache: Optional[ProofCache], label: str) -> List[tuple]:
-    """Run ``tasks`` on a pool and return raw worker tuples **in
-    submission order**, with counters, histograms, trace events, ledger
-    records, and cache entries merged into this process. Spans and
-    histograms record per-task wall time."""
+def parallel_call(func_path: str, kwargs_list: Sequence[dict],
+                  jobs: Optional[int] = None,
+                  cache: Optional[ProofCache] = None) -> List[Any]:
+    """Call ``module:function`` once per kwargs dict, ``jobs`` at a time
+    (``0``/``None`` = one worker per core), and return the (picklable)
+    results in input order.
+
+    ``cache``, when given, is the proof cache the calls consult:
+    installed around them in this process, or seeded into each worker and
+    refilled from the entries the workers decide. A failing task raises
+    the same exception either way; in the pool, every task runs to
+    completion first and the earliest submitted failure wins.
+    """
+    jobs = jobs or default_jobs()
+    if jobs <= 1 or len(kwargs_list) <= 1:
+        fn = _resolve(func_path)
+        with S.cached(S.get_cache() if cache is None else cache):
+            return [fn(**kwargs) for kwargs in kwargs_list]
+    # The pool's modules load only when a pool runs: an in-process call
+    # costs nothing beyond the call itself.
+    from concurrent.futures import ProcessPoolExecutor
+
     _BATCHES.inc()
     seed = cache.seed_entries() if cache is not None else []
-    ctx = multiprocessing.get_context()
-    pool = ctx.Pool(processes=max(1, min(jobs, len(tasks))),
-                    initializer=_pool_init,
-                    initargs=(seed, cache is not None, obs.ENABLED,
-                              obs.tracer() is not None,
-                              obs.ledger() is not None))
-    try:
-        with obs.span("dispatch.batch", cat="dispatch",
-                      args={"label": label, "jobs": jobs,
-                            "tasks": len(tasks)}):
-            raw = pool.map(worker, tasks, chunksize=1)
-    finally:
-        pool.close()
-        pool.join()
-    raw.sort(key=lambda item: item[0])
-    for item in raw:
-        _, _, _, _, counters, fresh, wall, extras = item
+    executor = ProcessPoolExecutor(
+        max_workers=min(jobs, len(kwargs_list)),
+        initializer=_pool_init,
+        initargs=(seed, cache is not None, obs.ENABLED,
+                  obs.tracer() is not None, obs.ledger() is not None))
+    with executor, obs.span("dispatch.batch", cat="dispatch",
+                            args={"label": func_path, "jobs": jobs,
+                                  "tasks": len(kwargs_list)}):
+        outcomes = list(executor.map(
+            _worker_call, [(func_path, kwargs) for kwargs in kwargs_list]))
+    results = []
+    failure = None
+    for result, error, counters, fresh, wall, extras in outcomes:
         _TASKS.inc()
         _TASK_SECONDS.record(wall)
         obs.instant("dispatch.task", cat="dispatch",
-                    args={"label": label, "seconds": wall})
+                    args={"label": func_path, "seconds": wall})
         _merge_counters(counters)
         _merge_extras(extras)
         if cache is not None and fresh:
             cache.absorb(fresh)
-    return raw
-
-
-def discharge_batch(obligations: Sequence[Obligation],
-                    jobs: Optional[int] = None,
-                    cache: Optional[ProofCache] = None
-                    ) -> List[ObligationResult]:
-    """Decide a batch of independent VCs, ``jobs`` at a time.
-
-    Results come back in input order. One obligation timing out (or
-    being refuted) never aborts the others.
-    """
-    jobs = default_jobs() if not jobs else jobs
-    if jobs <= 1 or len(obligations) <= 1:
-        return [_sequential_discharge(ob, cache) for ob in obligations]
-    tasks = [(i, ob) for i, ob in enumerate(obligations)]
-    raw = run_pool(_worker_discharge, tasks, jobs, cache, "discharge")
-    return [ObligationResult(obligations[i].context, status, model)
-            for i, status, model, _, _, _, _, _ in raw]
-
-
-def _sequential_discharge(ob: Obligation,
-                          cache: Optional[ProofCache]) -> ObligationResult:
-    previous = S.set_cache(cache) if cache is not None else None
-    try:
-        try:
-            result = S.check_valid(ob.goal, ob.hypotheses,
-                                   max_conflicts=ob.max_conflicts)
-        except S.SolverTimeout:
-            return ObligationResult(ob.context, "timeout")
-        if result.valid:
-            return ObligationResult(ob.context, "proved")
-        return ObligationResult(ob.context, "refuted", result.model)
-    finally:
-        if cache is not None:
-            S.set_cache(previous)
-
-
-class DispatchError(Exception):
-    """A dispatched task failed; carries the worker's (picklable) error
-    description for the earliest-submitted failing task."""
-
-    def __init__(self, kind: str, context: str, detail: str,
-                 model: Optional[Dict[str, int]] = None):
-        self.kind = kind
-        self.context = context
-        self.detail = detail
-        self.model = model
-        super().__init__("%s in %s: %s" % (kind, context, detail))
-
-
-def parallel_call(func_path: str, kwargs_list: Sequence[dict],
-                  jobs: Optional[int] = None) -> List[Any]:
-    """Generic fan-out: call ``module:function`` once per kwargs dict and
-    return the (picklable) results in input order."""
-    jobs = default_jobs() if not jobs else jobs
-    if jobs <= 1 or len(kwargs_list) <= 1:
-        module_name, _, attr = func_path.partition(":")
-        fn = getattr(importlib.import_module(module_name), attr)
-        return [fn(**kwargs) for kwargs in kwargs_list]
-    tasks = [(i, func_path, kwargs) for i, kwargs in enumerate(kwargs_list)]
-    raw = run_pool(_worker_call, tasks, jobs, None, "call")
-    results = []
-    for index, result, _, error, _, _, _, _ in raw:
-        if error is not None:
-            raise DispatchError(*error)
+        if failure is None:
+            failure = error
         results.append(result)
+    if failure is not None:
+        raise failure
     return results

@@ -40,8 +40,8 @@ from ..bedrock2.vcgen import (
     VerifyReport,
     verify_function,
 )
-from ..logic import solver as S
 from ..logic import terms as T
+from ..logic.dispatch import parallel_call
 from ..platform.bus import MMIO_RANGES
 from . import constants as C
 from .program import lightbulb_program
@@ -513,70 +513,12 @@ def run_verify_task(task: str, max_conflicts: int = 4_000_000,
                            prescreen=hook)
 
 
-def _verify_worker(task):
-    """Pool worker for one whole-function verification task (must be a
-    module-level function so it is importable under fork and spawn)."""
-    from ..logic import dispatch
-
-    index, name, max_conflicts, prescreen = task
-    with dispatch.TaskEnv() as env:
-        report = None
-        error = None
-        try:
-            report = run_verify_task(name, max_conflicts, prescreen=prescreen)
-        except VerificationError as err:
-            error = ("VerificationError", err.context, err.detail, err.model)
-        except S.SolverTimeout as err:
-            error = ("SolverTimeout", name, str(err), None)
-    return (index, report, None, error) + env.outcome()
-
-
-def run_verify_tasks(names, jobs=None, cache=None,
-                     max_conflicts: int = 4_000_000,
-                     prescreen: bool = True) -> List[VerifyReport]:
-    """Verify the named functions (see `run_verify_task`) in parallel;
-    returns their `VerifyReport`s in input order.
-
-    All tasks run to completion before any failure is surfaced; if any
-    task failed, the earliest submitted failure is re-raised here (as
-    `VerificationError` when that is what the worker hit), so the parent
-    sees the same error -- and the same counterexample -- as a
-    sequential run.
-    """
-    from ..logic import dispatch
-
-    jobs = dispatch.default_jobs() if not jobs else jobs
-    tasks = [(i, name, max_conflicts, prescreen)
-             for i, name in enumerate(names)]
-    raw = dispatch.run_pool(_verify_worker, tasks, jobs, cache, "verify")
-    reports = []
-    for _index, report, _, error, _, _, _, _ in raw:
-        if error is not None:
-            kind, context, detail, model = error
-            if kind == "VerificationError":
-                raise VerificationError(context, detail, model)
-            raise dispatch.DispatchError(kind, context, detail, model)
-        reports.append(report)
-    return reports
-
-
 def _run_tasks(names, max_conflicts: int, jobs: int,
                cache, prescreen: bool = True) -> VerificationRun:
-    run = VerificationRun()
-    if jobs is not None and jobs != 1:
-        run.reports.extend(run_verify_tasks(names, jobs=jobs, cache=cache,
-                                            max_conflicts=max_conflicts,
-                                            prescreen=prescreen))
-        return run
-    previous = S.set_cache(cache) if cache is not None else None
-    try:
-        for name in names:
-            run.reports.append(run_verify_task(name, max_conflicts,
-                                               prescreen=prescreen))
-    finally:
-        if cache is not None:
-            S.set_cache(previous)
-    return run
+    kwargs_list = [{"task": name, "max_conflicts": max_conflicts,
+                    "prescreen": prescreen} for name in names]
+    return VerificationRun(parallel_call("repro.sw.verify:run_verify_task",
+                                         kwargs_list, jobs, cache))
 
 
 def verify_all(max_conflicts: int = 4_000_000, jobs: int = 1,

@@ -1,18 +1,25 @@
-"""The parallel VC dispatcher (`repro.logic.dispatch`).
+"""The parallel dispatcher (`repro.logic.dispatch.parallel_call`).
 
 The hard requirements: ``--jobs N`` must be *observationally identical*
-to ``--jobs 1`` (bit-identical reports, counterexamples, and proof-cache
-contents), and one timed-out obligation must never abort the rest of a
-batch -- it is surfaced as a per-obligation ``timeout`` status instead.
+to ``--jobs 1`` (bit-identical reports, counterexamples, proof-cache
+contents, and the same exception when a task fails); one timed-out
+obligation must never abort the rest of a verification run -- it is
+surfaced as a per-obligation ``timeout`` status instead; and a worker
+that dies must fail the call rather than hang it.
 """
+
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro import obs
+from repro.bedrock2.vcgen import VerificationError
 from repro.logic import solver as S
 from repro.logic import terms as T
 from repro.logic.cache import ProofCache
-from repro.logic.dispatch import Obligation, discharge_batch, parallel_call
+from repro.logic.dispatch import DispatchError, parallel_call
 from repro.sw.verify import verify_all, verify_doorlock
 
 X = T.var("x")
@@ -22,35 +29,6 @@ Y = T.var("y")
 # SAT tier needs to search the multiplier circuit to see it -- with a
 # one-conflict budget the query reliably times out.
 HARD_UNSAT_GOAL = T.ne(T.mul(X, X), T.const(7))
-
-
-def _batch():
-    return [
-        Obligation(T.ult(X, T.const(16)), (T.ult(X, T.const(10)),),
-                   context="provable"),
-        Obligation(T.eq(Y, T.const(0)), (), context="refutable"),
-        Obligation(HARD_UNSAT_GOAL, (), context="stuck", max_conflicts=1),
-        Obligation(T.eq(T.add(X, T.const(0)), X), (), context="structural"),
-    ]
-
-
-def test_timeout_is_per_obligation_not_batch_fatal():
-    results = discharge_batch(_batch(), jobs=1)
-    assert [r.context for r in results] == \
-        ["provable", "refutable", "stuck", "structural"]
-    assert [r.status for r in results] == \
-        ["proved", "refuted", "timeout", "proved"]
-    # The refuted VC carries its countermodel; the timed-out one carries
-    # nothing (it is unknown, not false).
-    assert results[1].model is not None
-    assert results[2].model is None
-
-
-def test_parallel_batch_matches_sequential():
-    sequential = discharge_batch(_batch(), jobs=1)
-    parallel = discharge_batch(_batch(), jobs=2)
-    assert [(r.context, r.status, r.model) for r in sequential] == \
-        [(r.context, r.status, r.model) for r in parallel]
 
 
 def test_solver_prove_distinguishes_timeout_from_refutation():
@@ -77,10 +55,6 @@ def test_vc_prove_records_timeout_in_report():
     assert not report.ok
     assert report.obligations == 1  # the easy one still went through
     assert "TIMED OUT" in str(report)
-
-    with pytest.raises(S.SolverTimeout):
-        verify_function(prog, "f", FunctionSpec(post=post), MMIOSpec([]),
-                        max_conflicts=1, record_timeouts=False)
 
 
 def test_jobs4_reports_bit_identical_to_jobs1():
@@ -148,8 +122,81 @@ def test_counterexample_identical_across_process_boundary():
         assert err.context == local.context
 
 
+# Dispatched tasks for the error tests below. Under fork, a worker
+# resolves ``<this module>:<name>`` from the module the parent imported.
+
+def _time_out(fail: bool) -> int:
+    if fail:
+        S.prove(HARD_UNSAT_GOAL, max_conflicts=1)
+    return 0
+
+
+def _refute_buggy_drain(fail: bool) -> int:
+    from repro.sw.verify import verify_drain_buggy_fails
+
+    if fail:
+        raise verify_drain_buggy_fails()
+    return 0
+
+
+def _refute(fail: bool) -> int:
+    if fail:
+        S.prove(T.eq(Y, T.const(0)))
+    return 0
+
+
+def _die(fail: bool) -> int:
+    if fail:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return 0
+
+
+@pytest.mark.parametrize("task", ["_time_out", "_refute_buggy_drain"])
+def test_task_errors_are_the_same_at_any_jobs(task):
+    """A failing task raises its own exception, with the same fields,
+    whether it ran in process or in a worker."""
+    kwargs_list = [{"fail": False}, {"fail": True}, {"fail": True}]
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(Exception) as info:
+            parallel_call("%s:%s" % (__name__, task), kwargs_list, jobs=jobs)
+        errors.append(info.value)
+    local, remote = errors
+    assert type(local) is type(remote)
+    assert type(local) in (S.SolverTimeout, VerificationError)
+    assert (local.args, vars(local)) == (remote.args, vars(remote))
+
+
+def test_unpicklable_task_error_arrives_as_dispatch_error():
+    """`ProofFailure` cannot be rebuilt from its pickled message, so the
+    worker ships a `DispatchError` naming it instead."""
+    kwargs_list = [{"fail": False}, {"fail": True}]
+    with pytest.raises(S.ProofFailure) as local:
+        parallel_call("%s:_refute" % __name__, kwargs_list, jobs=1)
+    with pytest.raises(DispatchError) as remote:
+        parallel_call("%s:_refute" % __name__, kwargs_list, jobs=2)
+    assert remote.value.kind == "ProofFailure"
+    assert remote.value.context == "%s:_refute" % __name__
+    assert remote.value.detail == str(local.value)
+
+
+def test_dead_worker_raises_instead_of_hanging():
+    def hung(signum, frame):
+        raise TimeoutError("parallel_call still waiting on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            parallel_call("%s:_die" % __name__,
+                          [{"fail": False}, {"fail": True}], jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_histograms_survive_the_process_boundary():
-    """Regression: `run_pool` used to ship only Counter values back, so
+    """Regression: the pool used to ship only Counter values back, so
     worker-side histogram observations (e.g. per-obligation wall times)
     silently vanished under --jobs N. The observation *count* must match
     the sequential run exactly."""

@@ -32,23 +32,6 @@ def test_rule_fires_and_mutates():
     assert m.regs["x"] == 1
 
 
-def test_aborted_rule_rolls_back_registers():
-    m = Module("m")
-    m.reg("x", 0)
-    m.reg("lst", [1, 2])
-
-    def bad(mod):
-        mod.regs["x"] = 99
-        mod.regs["lst"].append(3)
-        raise RuleAbort("nope")
-
-    m.rule("bad", bad)
-    sys_ = System([m], Echo())
-    assert sys_.step() is None
-    assert m.regs["x"] == 0
-    assert m.regs["lst"] == [1, 2]
-
-
 def test_abort_after_external_call_is_an_error():
     m = Module("m")
 
@@ -161,13 +144,3 @@ def test_duplicate_method_rejected():
     b.method("m", lambda mod: 1)
     with pytest.raises(ValueError):
         System([a, b], Echo())
-
-
-def test_rule_order_override():
-    m = Module("m")
-    m.reg("log", [])
-    m.rule("r1", lambda mod: mod.regs["log"].append(1))
-    m.rule("r2", lambda mod: mod.regs["log"].append(2))
-    sys_ = System([m], Echo(), rule_order=["m.r2", "m.r1"])
-    sys_.step()
-    assert m.regs["log"] == [2]

@@ -103,14 +103,3 @@ def test_world_adapter_rejects_unknown_methods():
     adapter = KamiWorldAdapter(MMIOBus([]))
     with pytest.raises(KeyError):
         adapter.call("dmaBurst", (0,))
-
-
-def test_fe310_machine_counts_cycles_as_instructions():
-    from repro.platform.fe310 import make_fe310_system
-    from repro.riscv import insts as I
-    from repro.riscv.encode import encode_program
-
-    image = encode_program([I.i_type("addi", 1, 0, 1)] * 10 + [I.jal(0, 0)])
-    machine = make_fe310_system(image, MMIOBus([]), mem_size=1 << 12)
-    machine.run(10)
-    assert machine.cycles == machine.instret == 10

@@ -14,15 +14,18 @@ what licenses using the cycle scheduler for performance measurements and
 the step scheduler for refinement checking interchangeably.
 
 The production scheduler is also checked step for step against a plain
-reference scheduler kept here (`ReferenceSystem`), and with register
-snapshots against without."""
+reference scheduler kept here (`ReferenceSystem`), and the processors
+against the guards-before-effects discipline it relies on
+(`GuardCheckingSystem`)."""
 
 import random
 
 import pytest
 
 from repro import obs
-from repro.kami.framework import ExternalWorld, RuleAbort, StepLabel, System
+from repro.kami.framework import (
+    ExternalWorld, Module, RuleAbort, StepLabel, System,
+)
 from repro.kami.memory import make_memory_module
 from repro.kami.pipeline_proc import make_pipelined_processor
 from repro.kami.spec_proc import make_spec_processor
@@ -61,7 +64,7 @@ PROGRAM = encode_program([
 def build(order=None, seed=None, system_cls=System):
     mem = make_memory_module(PROGRAM, ram_words=1 << 10)
     proc = make_pipelined_processor(icache_words=32)
-    system = system_cls([proc, mem], ScriptedWorld(), snapshot_rollback=False)
+    system = system_cls([proc, mem], ScriptedWorld())
     if seed is not None:
         names = [name for name, _, _ in system._rules]
         rng = random.Random(seed)
@@ -106,8 +109,7 @@ def test_randomized_priorities_on_lightbulb_refine_spec():
         mem = make_memory_module(compiled.image, ram_words=1 << 14)
         proc = make_pipelined_processor(
             icache_words=len(compiled.image) // 4 + 4)
-        system = System([proc, mem], plat.kami_world(),
-                        snapshot_rollback=False)
+        system = System([proc, mem], plat.kami_world())
         if seed is not None:
             names = [name for name, _, _ in system._rules]
             random.Random(seed).shuffle(names)
@@ -138,8 +140,7 @@ def test_cycle_scheduler_counts_fired_rules():
 # -- the production scheduler against the reference scheduler ---------------------
 
 class ReferenceSystem(System):
-    """The plain scheduler, without register snapshots (the mode the
-    processors run in): a fresh pending-call list per attempt, a new
+    """The plain scheduler: a fresh pending-call list per attempt, a new
     `StepLabel` per firing, and the MMIO trace projected from the label
     trace on every call. The production `System` must fire, abort and
     label exactly as this does, step for step."""
@@ -199,7 +200,36 @@ class ReferenceSystem(System):
         return out
 
 
-def lightbulb_system(processor, system_cls=System, snapshot_rollback=False):
+class GuardCheckingSystem(System):
+    """The production scheduler, checking the discipline it relies on:
+    a rule raises `RuleAbort` before any effect, so an aborted attempt
+    changes no register. Snapshots every register and fails on an abort
+    that changed one; the snapshot is retaken after each firing (until
+    then, the aborts it saw have left the state as it was)."""
+
+    _before = None
+
+    def _try_rule(self, name, module, fn):
+        if self._before is None:
+            self._before = [
+                (m, {key: list(value) if isinstance(value, list)
+                     else dict(value) if isinstance(value, dict) else value
+                     for key, value in m.regs.items()})
+                for m in self.modules]
+        label = super()._try_rule(name, module, fn)
+        if label is not None:
+            self._before = None
+            return label
+        for m, regs in self._before:
+            if m.regs != regs:
+                changed = sorted(key for key in set(regs) | set(m.regs)
+                                 if regs.get(key) != m.regs.get(key))
+                raise AssertionError("rule %r aborted after writing %s.%s"
+                                     % (name, m.name, ", ".join(changed)))
+        return None
+
+
+def lightbulb_system(processor, system_cls=System):
     """The lightbulb binary on ``processor`` with its own platform."""
     compiled = compiled_lightbulb(stack_top=1 << 16)
     plat = make_platform()
@@ -209,8 +239,7 @@ def lightbulb_system(processor, system_cls=System, snapshot_rollback=False):
             icache_words=len(compiled.image) // 4 + 4)
     else:
         proc = make_spec_processor()
-    system = system_cls([proc, mem], plat.kami_world(),
-                        snapshot_rollback=snapshot_rollback)
+    system = system_cls([proc, mem], plat.kami_world())
     return system, plat
 
 
@@ -305,10 +334,23 @@ def test_cycle_scheduler_like_reference_scheduler():
 @pytest.mark.parametrize("processor, units",
                          [("p4mm", 50_000), ("kami-spec", 10_000)],
                          ids=["p4mm", "kami-spec"])
-def test_rollback_modes_agree_on_lightbulb(processor, units):
-    """The processors follow guards-before-effects, so skipping the
-    per-attempt register snapshot changes nothing observable."""
-    run = assert_same_run(
-        drive(*lightbulb_system(processor, snapshot_rollback=True), units),
-        drive(*lightbulb_system(processor), units))
+def test_aborted_attempts_change_no_register_on_lightbulb(processor, units):
+    """The processors follow guards-before-effects, which is what lets
+    the scheduler skip rolling back an aborted attempt."""
+    run = drive(*lightbulb_system(processor, GuardCheckingSystem), units)
+    assert run["steps"] == units
     assert run["delivered"] and run["mmio"]
+
+
+def test_guard_checker_flags_a_write_before_abort():
+    m = Module("m")
+    m.reg("x", 0)
+
+    def late_guard(mod):
+        mod.regs["x"] = 99
+        raise RuleAbort("guard after effect")
+
+    m.rule("late_guard", late_guard)
+    system = GuardCheckingSystem([m], ExternalWorld())
+    with pytest.raises(AssertionError, match="m.late_guard.*m.x"):
+        system.step()
