@@ -262,7 +262,7 @@ def cmd_end2end(args) -> int:
         results = run_adversarial_suite(seeds, n_frames=args.frames,
                                         processor=args.processor,
                                         max_units=args.units,
-                                        jobs=args.jobs, fast=args.fast)
+                                        jobs=args.jobs)
         ok = True
         for seed, result in zip(seeds, results):
             ok = ok and result.ok
@@ -278,7 +278,7 @@ def cmd_end2end(args) -> int:
         return 0 if ok else 1
     result = run_adversarial(seed=args.seed, n_frames=args.frames,
                              processor=args.processor,
-                             max_units=args.units, fast=args.fast)
+                             max_units=args.units)
     print("processor=%s frames=%d: %s" % (
         args.processor, args.frames,
         "trace within goodHlTrace" if result.ok else "VIOLATION: " + result.detail))
@@ -366,13 +366,9 @@ def cmd_fuzz(args) -> int:
 
     config = PROFILES[args.profile]
     seeds = list(range(args.seed_start, args.seed_start + args.seeds))
-    from .fuzz.oracle import LAYERS
-
-    layers = LAYERS if args.fast else tuple(
-        name for name in LAYERS if name != "fast")
     report = run_campaign(seeds, config=config, mutation=args.mutate,
                           logic_sample=args.logic_sample, jobs=args.jobs,
-                          time_budget=args.time_budget, layers=layers)
+                          time_budget=args.time_budget)
     summary = report["summary"]
     if args.json:
         with open(args.json, "w") as fh:
@@ -478,7 +474,7 @@ def cmd_stats(args) -> int:
     print("verified %d functions, %d obligations discharged"
           % (len(run.reports), run.total_obligations))
     result = run_adversarial(seed=args.seed, n_frames=args.frames,
-                             max_units=args.units, fast=args.fast)
+                             max_units=args.units)
     print("end2end (%d units): %s, %d instructions, %d MMIO events"
           % (args.units,
              "in spec" if result.ok else "VIOLATION: " + result.detail,
@@ -707,11 +703,6 @@ def main(argv=None) -> int:
                    help="execution units (instructions or Kami steps)")
     p.add_argument("--processor", choices=("isa", "kami-spec", "p4mm"),
                    default="isa")
-    p.add_argument("--fast", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="run the ISA machine through the fast-path engine "
-                        "(decode cache + fused blocks; bit-identical to "
-                        "the reference interpreter)")
     add_trace_out(p)
     p = sub.add_parser("fuzz",
                        help="differential fuzzing: co-simulate generated "
@@ -743,10 +734,6 @@ def main(argv=None) -> int:
     p.add_argument("--replay", metavar="FILE", default=None,
                    help="replay one fuzz-corpus file and check it still "
                         "reproduces")
-    p.add_argument("--fast", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="include the fast-engine differential layer "
-                        "(fast-vs-reference bit-identical machine state)")
     p.add_argument("--json", metavar="OUT", default=None,
                    help="write the deterministic campaign report (or, with "
                         "--mutation-score/--mutation-tier1, the score "
@@ -794,9 +781,6 @@ def main(argv=None) -> int:
     p.add_argument("--frames", type=int, default=2)
     p.add_argument("--units", type=int, default=60_000,
                    help="end2end execution units for the stats workload")
-    p.add_argument("--fast", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="run the ISA machine through the fast-path engine")
     add_trace_out(p)
     p = sub.add_parser("report",
                        help="render ledger/trace/metrics/history into one "

@@ -14,7 +14,7 @@ never the reverse -- vcgen receives the prescreener by injection):
 * `repro.analysis.dataflow` -- the generic forward/backward walkers over
   the Bedrock2 AST and FlatImp;
 * `repro.analysis.domains`  -- abstract domains: definite assignment,
-  words as intervals + known bits (shared with `repro.logic.intervals`),
+  words as `repro.logic.intervals.AbstractWord` intervals ∧ known bits,
   and the MMIO/chip-select protocol domain;
 * `repro.analysis.lint`     -- the diagnostic passes (`python -m repro
   lint`), with stable ``B2Axxx`` codes;

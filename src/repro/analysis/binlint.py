@@ -4,7 +4,7 @@ Where `repro.analysis.lint` checks Bedrock2 *source*, this module checks
 the *machine code* the compiler emits: it recovers a CFG from the
 encoded image (`repro.analysis.cfg`), then runs a forward dataflow over
 each function with a per-register × stack-slot product domain of
-unsigned intervals ∧ known-bits (`repro.analysis.domains.AbstractWord`)
+unsigned intervals ∧ known-bits (`repro.logic.intervals.AbstractWord`)
 enriched with symbolic bases: a value is either a plain abstract word or
 ``Init(r) + word`` for an entry-time register ``r``, which is what lets
 the analysis track the stack pointer, frame slots, and callee-saved
@@ -80,11 +80,12 @@ from typing import (
 
 from .. import obs
 from ..compiler.flatimp import FInteract, FStmt, FStore
+from ..logic.intervals import MASK, WIDTH, AbstractWord, word_binop
 from ..riscv.disasm import format_instr, reg
 from ..riscv.insts import B_TYPE, I_ARITH, I_SHIFT, R_TYPE, Instr
 from .cfg import RA, SP, BasicBlock, BinaryCFG, BinFunction, recover_cfg
 from .dataflow import AbstractDomain, run_cfg, run_flat
-from .domains import MASK, WIDTH, AbstractWord, WordDomain, WordState, _binop
+from .domains import WordDomain, WordState
 from .lint import Diagnostic
 
 _FINDINGS = obs.counter("analysis.binlint_findings")
@@ -108,14 +109,16 @@ ENTRY_DEFINED = frozenset((0, RA, SP) + ARG_REGS)
 #: use scratch-register address arithmetic and are skipped by TV.
 _NEAR_FRAME_LIMIT = 2048
 
-_R_TO_BEDROCK = {
-    "add": "add", "sub": "sub", "sll": "slu", "slt": "lts", "sltu": "ltu",
-    "xor": "xor", "srl": "sru", "sra": "srs", "or": "or", "and": "and",
-    "mul": "mul", "mulhu": "mulhuu", "divu": "divu", "remu": "remu",
+#: RV32IM instruction -> the `repro.logic.intervals.word_binop`
+#: operator it computes.
+_R_OPS = {
+    "add": "add", "sub": "sub", "sll": "shl", "slt": "slt", "sltu": "ult",
+    "xor": "bxor", "srl": "lshr", "sra": "ashr", "or": "bor", "and": "band",
+    "mul": "mul", "mulhu": "mulhuu", "divu": "udiv", "remu": "urem",
 }
-_I_TO_BEDROCK = {"addi": "add", "slti": "lts", "sltiu": "ltu",
-                 "xori": "xor", "ori": "or", "andi": "and"}
-_SHIFT_TO_BEDROCK = {"slli": "slu", "srli": "sru", "srai": "srs"}
+_I_OPS = {"addi": "add", "slti": "slt", "sltiu": "ult",
+          "xori": "bxor", "ori": "bor", "andi": "band"}
+_SHIFT_OPS = {"slli": "shl", "srli": "lshr", "srai": "ashr"}
 
 
 def _signed(value: int) -> int:
@@ -162,17 +165,17 @@ def _aval_add(a: AVal, b: AVal) -> AVal:
     if a.base is not None and b.base is not None:
         return _top()
     if a.base is not None:
-        return AVal(a.base, _binop("add", a.word, b.word))
+        return AVal(a.base, word_binop("add", a.word, b.word))
     if b.base is not None:
-        return AVal(b.base, _binop("add", a.word, b.word))
-    return AVal(None, _binop("add", a.word, b.word))
+        return AVal(b.base, word_binop("add", a.word, b.word))
+    return AVal(None, word_binop("add", a.word, b.word))
 
 
 def _aval_sub(a: AVal, b: AVal) -> AVal:
     if b.base is None:
-        return AVal(a.base, _binop("sub", a.word, b.word))
+        return AVal(a.base, word_binop("sub", a.word, b.word))
     if a.base == b.base:  # Init(r)+x - (Init(r)+y) = x - y
-        return AVal(None, _binop("sub", a.word, b.word))
+        return AVal(None, word_binop("sub", a.word, b.word))
     return _top()
 
 
@@ -222,10 +225,10 @@ def _rop(name: str, a: AVal, b: AVal) -> AVal:
         return _aval_add(a, b)
     if name == "sub":
         return _aval_sub(a, b)
-    op = _R_TO_BEDROCK.get(name)
+    op = _R_OPS.get(name)
     if op is None:  # mulh, mulhsu, div, rem
         return _top()
-    return AVal(None, _binop(op, _plain(a), _plain(b)))
+    return AVal(None, word_binop(op, _plain(a), _plain(b)))
 
 
 def step_instr(pc: int, instr: Instr, state: BinState) -> BinState:
@@ -248,13 +251,12 @@ def step_instr(pc: int, instr: Instr, state: BinState) -> BinState:
         if name == "addi":
             val = _aval_add(a, imm)
         else:
-            val = AVal(None, _binop(_I_TO_BEDROCK[name], _plain(a),
-                                    imm.word))
+            val = AVal(None, word_binop(_I_OPS[name], _plain(a), imm.word))
         return _with_reg(state, rd, val)
     if name in I_SHIFT:
-        val = AVal(None, _binop(_SHIFT_TO_BEDROCK[name],
-                                _plain(regs[instr.rs1 or 0]),
-                                AbstractWord.const(instr.imm or 0)))
+        val = AVal(None, word_binop(_SHIFT_OPS[name],
+                                    _plain(regs[instr.rs1 or 0]),
+                                    AbstractWord.const(instr.imm or 0)))
         return _with_reg(state, rd, val)
     if name == "lui":
         return _with_reg(state, rd, _const(((instr.imm or 0) << 12) & MASK))
@@ -582,7 +584,7 @@ class _FunctionAnalyzer:
         name = instr.name
         if name in ("beq", "bne"):
             if a.base == b.base:  # plain/plain or same-base offsets
-                e = _binop("eq", a.word, b.word).as_const()
+                e = word_binop("eq", a.word, b.word).as_const()
             else:
                 e = None
             if e is None:
@@ -591,7 +593,7 @@ class _FunctionAnalyzer:
             taken = equal if name == "beq" else not equal
             return taken, not taken
         if name in ("bltu", "bgeu") and a.base is None and b.base is None:
-            lt = _binop("ltu", a.word, b.word).as_const()
+            lt = word_binop("ult", a.word, b.word).as_const()
             if lt is None:
                 return True, True
             taken = bool(lt) if name == "bltu" else not lt

@@ -4,13 +4,12 @@ Three domains, each an `repro.analysis.dataflow.AbstractDomain`:
 
 * `DefiniteAssignmentDomain` -- which locals are assigned on *every*
   path (join is intersection); powers the use-before-def check.
-* `WordDomain` -- every local as an `AbstractWord`: an unsigned interval
-  meeting a `repro.logic.intervals.KnownBits` mask, with transfer
-  functions for all fifteen Bedrock2 binops matching the concrete
-  semantics in `repro.bedrock2.word` (shift amounts mod 32, RISC-V
-  division-by-zero). Powers unreachable-branch and misaligned/MMIO
-  address checks, and is deliberately the same lattice the VC
-  prescreener evaluates goals with.
+* `WordDomain` -- every local as a `repro.logic.intervals.AbstractWord`
+  (an unsigned interval meeting a known-bits mask). A Bedrock2 binop is
+  renamed to its term operator and handed to
+  `repro.logic.intervals.word_binop`, the transfer function the VC
+  prescreener and the solver's interval tier use too. Powers
+  unreachable-branch and misaligned/MMIO address checks.
 * `ExtProtocolDomain` -- a finite-state may-analysis of external-call
   protocol position (chip-select acquire/release pairing); powers the
   call-order checks.
@@ -44,11 +43,8 @@ from ..compiler.flatimp import (
     FSetVar,
     FStackalloc,
 )
-from ..logic.intervals import KnownBits
+from ..logic.intervals import MASK, WIDTH, AbstractWord, KnownBits, word_binop
 from .dataflow import AbstractDomain
-
-WIDTH = 32
-MASK = (1 << WIDTH) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -76,146 +72,19 @@ class DefiniteAssignmentDomain(AbstractDomain[FrozenSet[str]]):
 # ---------------------------------------------------------------------------
 # Words as intervals + known bits
 
-
-class AbstractWord:
-    """A set of 32-bit words: unsigned range [lo, hi] ∩ known-bits."""
-
-    __slots__ = ("lo", "hi", "bits")
-
-    def __init__(self, lo: int, hi: int, bits: Optional[KnownBits] = None):
-        # Tighten the range by the bits and vice versa; a contradictory
-        # pair can only arise on an unreachable path, where any value is
-        # a sound answer. This is `KnownBits.umin`/`umax`, then a `meet`
-        # with `KnownBits.from_range(lo, hi)`, computed inline so each
-        # word builds one `KnownBits`.
-        if bits is None:
-            mask = value = 0
-        else:
-            mask, value = bits.mask, bits.value
-        lo = max(lo, value)
-        hi = min(hi, value | (MASK & ~mask))
-        if lo > hi:
-            hi = lo
-        self.lo = lo
-        self.hi = hi
-        prefix = MASK & ~((1 << (lo ^ hi).bit_length()) - 1)
-        self.bits = KnownBits(WIDTH, mask | prefix, value | (lo & prefix))
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def top() -> "AbstractWord":
-        return AbstractWord(0, MASK)
-
-    @staticmethod
-    def const(value: int) -> "AbstractWord":
-        value &= MASK
-        return AbstractWord(value, value)  # a one-value range knows every bit
-
-    @staticmethod
-    def boolean() -> "AbstractWord":
-        return AbstractWord(0, 1)
-
-    # -- queries -------------------------------------------------------------
-
-    def is_const(self) -> bool:
-        return self.lo == self.hi
-
-    def as_const(self) -> Optional[int]:
-        return self.lo if self.lo == self.hi else None
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, AbstractWord) and self.lo == other.lo
-                and self.hi == other.hi and self.bits.mask == other.bits.mask
-                and self.bits.value == other.bits.value)
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self.bits.mask, self.bits.value))
-
-    def __repr__(self) -> str:
-        return "AbstractWord[0x%x, 0x%x]" % (self.lo, self.hi)
-
-    # -- lattice -------------------------------------------------------------
-
-    def join(self, other: "AbstractWord") -> "AbstractWord":
-        return AbstractWord(min(self.lo, other.lo), max(self.hi, other.hi),
-                            self.bits.join(other.bits))
-
-    def widen(self, other: "AbstractWord") -> "AbstractWord":
-        lo = self.lo if other.lo >= self.lo else 0
-        hi = self.hi if other.hi <= self.hi else MASK
-        return AbstractWord(lo, hi, self.bits.join(other.bits))
+#: Bedrock2 binop names that differ from the term operator names
+#: `repro.logic.intervals.word_binop` takes.
+_TERM_OPS = {
+    "divu": "udiv", "remu": "urem", "and": "band", "or": "bor",
+    "xor": "bxor", "slu": "shl", "sru": "lshr", "srs": "ashr",
+    "ltu": "ult", "lts": "slt",
+}
 
 
 def _binop(op: str, a: AbstractWord, b: AbstractWord) -> AbstractWord:
-    """Abstract transfer for a Bedrock2 binop (see `repro.bedrock2.word`
-    for the concrete meaning each case over-approximates)."""
-    if op == "add":
-        bits = a.bits.add(b.bits)
-        if a.hi + b.hi <= MASK:
-            return AbstractWord(a.lo + b.lo, a.hi + b.hi, bits)
-        return AbstractWord(0, MASK, bits)
-    if op == "sub":
-        bits = a.bits.sub(b.bits)
-        if a.lo - b.hi >= 0:
-            return AbstractWord(a.lo - b.hi, a.hi - b.lo, bits)
-        return AbstractWord(0, MASK, bits)
-    if op == "mul":
-        bits = a.bits.mul(b.bits)
-        if a.hi * b.hi <= MASK:
-            return AbstractWord(a.lo * b.lo, a.hi * b.hi, bits)
-        return AbstractWord(0, MASK, bits)
-    if op == "mulhuu":
-        return AbstractWord((a.lo * b.lo) >> WIDTH, (a.hi * b.hi) >> WIDTH)
-    if op == "divu":
-        if b.lo >= 1:
-            return AbstractWord(a.lo // b.hi, a.hi // b.lo)
-        return AbstractWord.top()  # division by zero yields all-ones
-    if op == "remu":
-        if b.lo >= 1:
-            return AbstractWord(0, min(a.hi, b.hi - 1))
-        return AbstractWord(0, a.hi)  # remu(a, 0) = a
-    if op == "and":
-        return AbstractWord(0, min(a.hi, b.hi), a.bits.band(b.bits))
-    if op == "or":
-        nbits = max(a.hi.bit_length(), b.hi.bit_length())
-        return AbstractWord(max(a.lo, b.lo), min(MASK, (1 << nbits) - 1),
-                            a.bits.bor(b.bits))
-    if op == "xor":
-        nbits = max(a.hi.bit_length(), b.hi.bit_length())
-        return AbstractWord(0, min(MASK, (1 << nbits) - 1),
-                            a.bits.bxor(b.bits))
-    if op in ("slu", "sru", "srs"):
-        amount = b.as_const()
-        if amount is None:
-            if op == "sru":
-                return AbstractWord(0, a.hi)
-            return AbstractWord.top()
-        amount %= WIDTH
-        if op == "slu":
-            bits = a.bits.shl(amount)
-            if a.hi << amount <= MASK:
-                return AbstractWord(a.lo << amount, a.hi << amount, bits)
-            return AbstractWord(0, MASK, bits)
-        if op == "sru":
-            return AbstractWord(a.lo >> amount, a.hi >> amount,
-                                a.bits.lshr(amount))
-        return AbstractWord(0, MASK, a.bits.ashr(amount))
-    if op == "ltu":
-        if a.hi < b.lo:
-            return AbstractWord.const(1)
-        if a.lo >= b.hi:
-            return AbstractWord.const(0)
-        return AbstractWord.boolean()
-    if op == "lts":
-        return AbstractWord.boolean()
-    if op == "eq":
-        if a.is_const() and b.is_const() and a.lo == b.lo:
-            return AbstractWord.const(1)
-        if a.hi < b.lo or b.hi < a.lo or a.bits.conflicts(b.bits):
-            return AbstractWord.const(0)
-        return AbstractWord.boolean()
-    return AbstractWord.top()
+    """Abstract transfer for a Bedrock2 binop: `word_binop` of its term
+    operator."""
+    return word_binop(_TERM_OPS.get(op, op), a, b)
 
 
 WordState = Dict[str, AbstractWord]

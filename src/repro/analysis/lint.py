@@ -54,6 +54,7 @@ from ..compiler.flatimp import (
     FSetVar,
     FStore,
 )
+from ..logic.intervals import AbstractWord
 from .dataflow import (
     liveness_cmd,
     liveness_flat,
@@ -64,7 +65,6 @@ from .dataflow import (
 from .domains import (
     HELD,
     RELEASED,
-    AbstractWord,
     CsPairingSpec,
     DefiniteAssignmentDomain,
     ExtProtocolDomain,

@@ -2,9 +2,11 @@
 
 `Prescreener` is the hook `repro.bedrock2.vcgen.VC` consults before the
 solver (``verify --prescreen``): it mines the symbolic state's *path
-condition* into interval and known-bits environments over whole terms,
-then abstractly evaluates the goal with `repro.logic.intervals`. Goals
-the abstraction already proves never reach bit-blasting or SAT.
+condition* into one environment of `repro.logic.intervals.AbstractWord`
+facts about whole terms, then abstractly evaluates the goal with
+`repro.logic.intervals.decide_bool`, which meets each fact with the
+value it computes for that subterm. Goals the abstraction already
+proves never reach bit-blasting or SAT.
 
 Soundness argument (docs/static-analysis.md spells this out): every
 fact mined is a logical consequence of the path conjunction, and the
@@ -27,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..logic import terms as T
-from ..logic.intervals import BitsEnv, KnownBits, Range, decide_bool
+from ..logic.intervals import AbstractWord, KnownBits, decide_bool
 
 _PRESCREENED = obs.counter("analysis.obligations_prescreened")
 _MISSED = obs.counter("analysis.prescreen_misses")
@@ -37,14 +39,15 @@ _MISSED = obs.counter("analysis.prescreen_misses")
 #: short; two rounds already close ``i < num_words <= 380``).
 _TIGHTEN_ROUNDS = 3
 
+Env = Dict[T.Term, AbstractWord]
+
 
 class _Facts:
-    """Interval + known-bits facts about whole terms, mined from a path
+    """Interval ∧ known-bits facts about whole terms, mined from a path
     condition. Every recorded fact is implied by the path conjunction."""
 
     def __init__(self) -> None:
-        self.env: Dict[T.Term, Range] = {}
-        self.bits: BitsEnv = {}
+        self.env: Env = {}
         #: pairs (a, b) with ``a < b`` known (strict unsigned).
         self.lt: List[Tuple[T.Term, T.Term]] = []
         #: pairs (a, b) with ``a <= b`` known.
@@ -55,20 +58,17 @@ class _Facts:
     def _is_word(self, t: T.Term) -> bool:
         return isinstance(t.sort, tuple)
 
-    def set_range(self, t: T.Term, lo: int, hi: int) -> None:
-        if t.is_const() or not self._is_word(t):
-            return
-        old_lo, old_hi = self.env.get(t, (0, (1 << t.width) - 1))
-        lo, hi = max(lo, old_lo), min(hi, old_hi)
-        if lo > hi:  # contradictory facts: the path is infeasible, any
-            hi = lo  # sound-for-valid answer is acceptable
-        self.env[t] = (lo, hi)
+    def word(self, t: T.Term) -> AbstractWord:
+        """What is known about the word term ``t`` so far."""
+        return self.env.get(t) or AbstractWord.top(t.width)
 
-    def meet_bits(self, t: T.Term, kb: KnownBits) -> None:
-        if t.is_const() or not self._is_word(t):
+    def meet(self, t: T.Term, fact: AbstractWord) -> None:
+        """Record ``fact`` about the word term ``t``. Contradictory
+        facts mean the path is infeasible, where any answer is sound."""
+        if t.is_const():
             return
-        old = self.bits.get(t)
-        self.bits[t] = kb if old is None else old.meet(kb)
+        old = self.env.get(t)
+        self.env[t] = fact if old is None else old.meet(fact)
 
     # -- mining --------------------------------------------------------------
 
@@ -84,9 +84,11 @@ class _Facts:
         if op == "ult":
             a, b = fact.args
             if a.is_const():
-                self.set_range(b, a.value + 1, (1 << b.width) - 1)
+                self.meet(b, AbstractWord(a.value + 1, (1 << b.width) - 1,
+                                          None, b.width))
             elif b.is_const():
-                self.set_range(a, 0, max(b.value - 1, 0))
+                self.meet(a, AbstractWord(0, max(b.value - 1, 0), None,
+                                          a.width))
             else:
                 self.lt.append((a, b))
             return
@@ -96,9 +98,10 @@ class _Facts:
                 # not (a < b)  ==>  b <= a
                 a, b = inner.args
                 if a.is_const():
-                    self.set_range(b, 0, a.value)
+                    self.meet(b, AbstractWord(0, a.value, None, b.width))
                 elif b.is_const():
-                    self.set_range(a, b.value, (1 << a.width) - 1)
+                    self.meet(a, AbstractWord(b.value, (1 << a.width) - 1,
+                                              None, a.width))
                 else:
                     self.le.append((b, a))
             elif inner.op == "eq":
@@ -111,21 +114,19 @@ class _Facts:
     def _mine_eq(self, a: T.Term, b: T.Term) -> None:
         if b.is_const():
             a, b = b, a
-        if not a.is_const():
+        if not a.is_const() or not self._is_word(b):
             return
         value = a.value
-        self.set_range(b, value, value)
-        if self._is_word(b):
-            self.meet_bits(b, KnownBits.from_const(value, b.width))
-            # eq(x & m, c): the masked bits of x are known.
-            if b.op == "band" and b.args[1].is_const():
-                self.meet_bits(b.args[0],
-                               KnownBits(b.args[0].width,
-                                         b.args[1].value, value))
-            elif b.op == "band" and b.args[0].is_const():
-                self.meet_bits(b.args[1],
-                               KnownBits(b.args[1].width,
-                                         b.args[0].value, value))
+        self.meet(b, AbstractWord.const(value, b.width))
+        # eq(x & m, c): the masked bits of x are known.
+        if b.op == "band" and b.args[1].is_const():
+            x, m = b.args
+        elif b.op == "band" and b.args[0].is_const():
+            m, x = b.args
+        else:
+            return
+        known = KnownBits(x.width, m.value, value)
+        self.meet(x, AbstractWord(0, (1 << x.width) - 1, known))
 
     def _mine_ne(self, a: T.Term, b: T.Term) -> None:
         """Disequality only shaves range endpoints."""
@@ -134,11 +135,12 @@ class _Facts:
         if not a.is_const() or not self._is_word(b):
             return
         value = a.value
-        lo, hi = self.env.get(b, (0, (1 << b.width) - 1))
+        known = self.word(b)
+        lo, hi = known.lo, known.hi
         if lo == value and lo < hi:
-            self.set_range(b, lo + 1, hi)
+            self.meet(b, AbstractWord(lo + 1, hi, None, b.width))
         elif hi == value and lo < hi:
-            self.set_range(b, lo, hi - 1)
+            self.meet(b, AbstractWord(lo, hi - 1, None, b.width))
 
     def _mine_or(self, disjuncts: Tuple[T.Term, ...]) -> None:
         """``x == c1 or x == c2 or ...`` pins x into the hull of the
@@ -160,11 +162,10 @@ class _Facts:
             values.append(a.value)
         if subject is None or not self._is_word(subject):
             return
-        self.set_range(subject, min(values), max(values))
         kb = KnownBits.from_const(values[0], subject.width)
         for v in values[1:]:
             kb = kb.join(KnownBits.from_const(v, subject.width))
-        self.meet_bits(subject, kb)
+        self.meet(subject, AbstractWord(min(values), max(values), kb))
 
     # -- relational tightening ----------------------------------------------
 
@@ -175,42 +176,40 @@ class _Facts:
         for _ in range(_TIGHTEN_ROUNDS):
             changed = False
             for a, b in self.lt:
-                blo, bhi = self.env.get(b, (0, (1 << b.width) - 1))
-                alo, ahi = self.env.get(a, (0, (1 << a.width) - 1))
-                if bhi >= 1 and ahi > bhi - 1:
-                    self.set_range(a, alo, bhi - 1)
+                bw, aw = self.word(b), self.word(a)
+                if bw.hi >= 1 and aw.hi > bw.hi - 1:
+                    self.meet(a, AbstractWord(0, bw.hi - 1, None, a.width))
                     changed = True
-                if alo + 1 > blo:
-                    self.set_range(b, alo + 1, bhi)
+                if aw.lo + 1 > bw.lo:
+                    self.meet(b, AbstractWord(aw.lo + 1, bw.hi, None,
+                                              b.width))
                     changed = True
             for a, b in self.le:
-                blo, bhi = self.env.get(b, (0, (1 << b.width) - 1))
-                alo, ahi = self.env.get(a, (0, (1 << a.width) - 1))
-                if ahi > bhi:
-                    self.set_range(a, alo, bhi)
+                bw, aw = self.word(b), self.word(a)
+                if aw.hi > bw.hi:
+                    self.meet(a, AbstractWord(0, bw.hi, None, a.width))
                     changed = True
-                if alo > blo:
-                    self.set_range(b, alo, bhi)
+                if aw.lo > bw.lo:
+                    self.meet(b, AbstractWord(aw.lo, bw.hi, None, b.width))
                     changed = True
             if not changed:
                 return
 
 
-def mine_path(path: Tuple[T.Term, ...]) -> Tuple[Dict[T.Term, Range],
-                                                 BitsEnv]:
-    """Mine a path condition into (range env, known-bits env); every
-    entry is a consequence of the conjunction of ``path``."""
+def mine_path(path: Tuple[T.Term, ...]) -> Env:
+    """Mine a path condition into an environment of facts about terms;
+    every entry is a consequence of the conjunction of ``path``."""
     facts = _Facts()
     for fact in path:
         facts.mine(fact)
     facts.tighten()
-    return facts.env, facts.bits
+    return facts.env
 
 
 class Prescreener:
     """The ``prescreen`` hook for `repro.bedrock2.vcgen.VC`.
 
-    Caches mined environments per path-condition tuple: symbolic
+    Caches the mined environment per path-condition tuple: symbolic
     execution proves many obligations under the same path, and terms are
     hash-consed, so the tuple is a cheap exact key.
     """
@@ -218,8 +217,7 @@ class Prescreener:
     def __init__(self) -> None:
         self.discharged = 0
         self.attempts = 0
-        self._cache: Dict[Tuple[T.Term, ...],
-                          Tuple[Dict[T.Term, Range], BitsEnv]] = {}
+        self._cache: Dict[Tuple[T.Term, ...], Env] = {}
 
     def __call__(self, state: object, goal: T.Term) -> bool:
         self.attempts += 1
@@ -230,12 +228,10 @@ class Prescreener:
             _PRESCREENED.inc()
             return True
         path = tuple(getattr(state, "path", ()))
-        cached = self._cache.get(path)
-        if cached is None:
-            cached = mine_path(path)
-            self._cache[path] = cached
-        env, bits = cached
-        if decide_bool(goal, env=dict(env), bits_env=bits) is True:
+        env = self._cache.get(path)
+        if env is None:
+            env = self._cache[path] = mine_path(path)
+        if decide_bool(goal, env) is True:
             self.discharged += 1
             _PRESCREENED.inc()
             return True

@@ -49,15 +49,15 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from .. import obs
+from ..logic.intervals import MASK, AbstractWord, word_binop
 from ..riscv.insts import I_ARITH, I_SHIFT, R_TYPE, Instr
 from .binlint import (ARG_REGS, LOAD_SIZES, SCRATCH_REGS, STORE_SIZES,
                       BinState, BinaryLintConfig, FunctionAnalysis,
-                      ImageAnalysis, _binop, _plain, _signed, _top,
-                      _I_TO_BEDROCK, _R_TO_BEDROCK, _SHIFT_TO_BEDROCK,
+                      ImageAnalysis, _plain, _signed, _top,
+                      _I_OPS, _R_OPS, _SHIFT_OPS,
                       analyze_image, step_instr)
 from .cfg import RA, SP, BasicBlock, BinFunction, BinaryCFG, call_graph
 from .costmodel import CostModel, check_pipeline_drift, pipeline_cost_model
-from .domains import MASK, AbstractWord
 from .lint import Diagnostic
 
 _FUNCTIONS = obs.counter("analysis.wcet_functions")
@@ -365,12 +365,11 @@ def _aff_concrete(name: str, a: _Aff, b: _Aff) -> _Aff:
     """Constant-fold one ALU op through the word domain's transfer."""
     if (a is None or b is None or a[0] != "c" or b[0] != "c"):
         return None
-    op = (_R_TO_BEDROCK.get(name) or _I_TO_BEDROCK.get(name)
-          or _SHIFT_TO_BEDROCK.get(name))
+    op = _R_OPS.get(name) or _I_OPS.get(name) or _SHIFT_OPS.get(name)
     if op is None:
         return None
-    out = _binop(op, AbstractWord.const(int(a[1])),
-                 AbstractWord.const(int(b[1]))).as_const()
+    out = word_binop(op, AbstractWord.const(int(a[1])),
+                     AbstractWord.const(int(b[1]))).as_const()
     return None if out is None else ("c", out)
 
 

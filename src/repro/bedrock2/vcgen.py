@@ -329,22 +329,20 @@ class VC:
             "pid": os.getpid(),
         })
 
-    def prove(self, state: SymState, goal: T.Term, context: str) -> None:
-        """Discharge an obligation under the current path condition."""
+    def _discharge(self, state: SymState, goal: T.Term, context: str
+                   ) -> Tuple[bool, Optional[Dict[str, int]]]:
+        """Decide one obligation under the path condition -- the
+        prescreen hook, else the solver -- then time, count and ledger
+        it. Returns (proved, countermodel); a `S.SolverTimeout` is
+        timed and ledgered, then re-raised."""
         t0 = time.perf_counter()
         led = obs.ledger()
         snapshot = _solver_snapshot() if led is not None else None
-        with obs.span("vc.prove", cat="vcgen", args={"context": context}):
-            if self.prescreened(state, goal):
-                self.obligations_proved += 1
-                _VCS_PROVED.inc()
-                _OBLIGATION_SECONDS.record(time.perf_counter() - t0)
-                if led is not None:
-                    reason = ("const-goal" if goal is T.TRUE
-                              else "abstract-interp")
-                    self._ledger(led, state, goal, context, "proved", None,
-                                 t0, tier="prescreen", prescreen=reason)
-                return
+        tier = reason = model = None
+        if self.prescreened(state, goal):
+            proved, snapshot, tier = True, None, "prescreen"
+            reason = "const-goal" if goal is T.TRUE else "abstract-interp"
+        else:
             try:
                 result = S.check_valid(goal, hypotheses=state.path,
                                        max_conflicts=self.max_conflicts)
@@ -353,23 +351,33 @@ class VC:
                 if led is not None:
                     self._ledger(led, state, goal, context, "timeout",
                                  snapshot, t0)
+                raise
+            proved, model = result.valid, result.model
+        _OBLIGATION_SECONDS.record(time.perf_counter() - t0)
+        if proved:
+            self.obligations_proved += 1
+            _VCS_PROVED.inc()
+        if led is not None:
+            self._ledger(led, state, goal, context,
+                         "proved" if proved else "unprovable", snapshot, t0,
+                         tier=tier, prescreen=reason)
+        return proved, model
+
+    def prove(self, state: SymState, goal: T.Term, context: str) -> None:
+        """Discharge an obligation under the current path condition."""
+        with obs.span("vc.prove", cat="vcgen", args={"context": context}):
+            try:
+                proved, model = self._discharge(state, goal, context)
+            except S.SolverTimeout:
                 # Distinguish the budget-exceeded VC from a refuted one:
                 # it is *unknown*, recorded per obligation, and the rest
                 # of the run proceeds.
                 self.timeouts.append(context)
                 _VCS_TIMEOUT.inc()
                 return
-        _OBLIGATION_SECONDS.record(time.perf_counter() - t0)
-        if not result.valid:
-            if led is not None:
-                self._ledger(led, state, goal, context, "unprovable",
-                             snapshot, t0)
+        if not proved:
             raise VerificationError(context, "cannot prove %r" % (goal,),
-                                    result.model)
-        self.obligations_proved += 1
-        _VCS_PROVED.inc()
-        if led is not None:
-            self._ledger(led, state, goal, context, "proved", snapshot, t0)
+                                    model)
 
     def check_bounds(self, state: SymState, goal: T.Term,
                      context: str) -> bool:
@@ -378,39 +386,7 @@ class VC:
         ledgered like any obligation -- and False when not provable
         under this region (the resolver tries the next candidate, so an
         unprovable bounds record is not by itself a failed run)."""
-        t0 = time.perf_counter()
-        led = obs.ledger()
-        snapshot = _solver_snapshot() if led is not None else None
-        if self.prescreened(state, goal):
-            self.obligations_proved += 1
-            _VCS_PROVED.inc()
-            _OBLIGATION_SECONDS.record(time.perf_counter() - t0)
-            if led is not None:
-                reason = "const-goal" if goal is T.TRUE else "abstract-interp"
-                self._ledger(led, state, goal, context, "proved", None,
-                             t0, tier="prescreen", prescreen=reason)
-            return True
-        try:
-            result = S.check_valid(goal, hypotheses=state.path,
-                                   max_conflicts=self.max_conflicts)
-        except S.SolverTimeout:
-            _OBLIGATION_SECONDS.record(time.perf_counter() - t0)
-            if led is not None:
-                self._ledger(led, state, goal, context, "timeout",
-                             snapshot, t0)
-            raise
-        _OBLIGATION_SECONDS.record(time.perf_counter() - t0)
-        if result.valid:
-            self.obligations_proved += 1
-            _VCS_PROVED.inc()
-            if led is not None:
-                self._ledger(led, state, goal, context, "proved",
-                             snapshot, t0)
-            return True
-        if led is not None:
-            self._ledger(led, state, goal, context, "unprovable",
-                         snapshot, t0)
-        return False
+        return self._discharge(state, goal, context)[0]
 
     def feasible(self, state: SymState) -> bool:
         """Cheap path-feasibility check (used to prune dead branches)."""

@@ -69,8 +69,8 @@ class CheckedDevice:
     """One device of the section 5.9 statement, its trace under check.
 
     ``kind`` is the app and ``processor`` the substrate its binary runs
-    on: "isa" (the ISA-level machine; ``fast`` selects the fast-path
-    engine, differentially checked to be bit-identical to the reference
+    on: "isa" (the ISA-level machine, run through the fast-path engine
+    that is differentially checked to be bit-identical to the reference
     interpreter), "kami-spec" (the single-cycle Kami model) or "p4mm"
     (the pipelined Kami processor of the theorem statement). A unit is
     an instruction on "isa" and a Kami step otherwise. Each device holds
@@ -80,7 +80,7 @@ class CheckedDevice:
     #: Counts the checks that had new events to consume.
     checks_counter = _PREFIX_CHECKS
 
-    def __init__(self, kind: str, processor: str = "isa", fast: bool = True,
+    def __init__(self, kind: str, processor: str = "isa",
                  buggy_driver: bool = False) -> None:
         image = compiled_image(kind, buggy_driver).image
         self.kind = kind
@@ -89,7 +89,7 @@ class CheckedDevice:
         if processor == "isa":
             self.machine = RiscvMachine.with_program(
                 image, mem_size=1 << 16, mmio_bus=self.platform.bus,
-                fast=fast)
+                fast=True)
         elif processor == "kami-spec":
             self.machine = build_spec_system(
                 image, self.platform.kami_world(), ram_words=1 << 14)
@@ -173,19 +173,17 @@ def run_end_to_end(frames: Sequence[Tuple[int, bytes]] = (),
                    processor: str = "isa",
                    max_units: int = 400_000,
                    checkpoint_every: int = 2_000,
-                   buggy_driver: bool = False,
-                   fast: bool = True) -> EndToEndResult:
+                   buggy_driver: bool = False) -> EndToEndResult:
     """Run the lightbulb system end to end and check the theorem.
 
     ``frames`` is a list of (checkpoint index, frame bytes) injections;
-    ``processor`` selects the execution substrate and ``fast`` the ISA
-    engine, as for `CheckedDevice`. ``max_units`` is instructions for
+    ``processor`` selects the execution substrate, as for
+    `CheckedDevice`. ``max_units`` is instructions for
     "isa" and Kami steps otherwise. The run stops at the first event
     outside ``goodHlTrace`` (the result's trace ends with it) or at a
     machine fault.
     """
-    device = CheckedDevice(LIGHTBULB, processor, fast=fast,
-                           buggy_driver=buggy_driver)
+    device = CheckedDevice(LIGHTBULB, processor, buggy_driver=buggy_driver)
     pending = sorted(frames, key=lambda t: t[0])
     checkpoints = 0
     units_done = 0
@@ -226,8 +224,7 @@ def run_end_to_end(frames: Sequence[Tuple[int, bytes]] = (),
 
 def run_adversarial(seed: int, n_frames: int = 12,
                     processor: str = "isa",
-                    max_units: int = 600_000,
-                    fast: bool = True) -> EndToEndResult:
+                    max_units: int = 600_000) -> EndToEndResult:
     """Fuzz the theorem: a pseudorandom adversarial packet stream.
 
     The stream comes from `repro.fuzz.generator.adversarial_frames`, the
@@ -238,14 +235,13 @@ def run_adversarial(seed: int, n_frames: int = 12,
     spacing = max(1, (max_units // 2_000) // (n_frames + 1))
     frames = [(5 + i * spacing, f) for i, f in enumerate(stream)]
     return run_end_to_end(frames=frames, processor=processor,
-                          max_units=max_units, fast=fast)
+                          max_units=max_units)
 
 
 def run_adversarial_suite(seeds: Sequence[int], n_frames: int = 12,
                           processor: str = "isa",
                           max_units: int = 600_000,
-                          jobs: int = 1,
-                          fast: bool = True) -> List[EndToEndResult]:
+                          jobs: int = 1) -> List[EndToEndResult]:
     """Fuzz the theorem across many seeds, ``jobs`` runs at a time.
 
     Each seed is an independent end-to-end execution, so the sweep is
@@ -256,8 +252,7 @@ def run_adversarial_suite(seeds: Sequence[int], n_frames: int = 12,
     from ..logic.dispatch import parallel_call
 
     kwargs_list = [{"seed": seed, "n_frames": n_frames,
-                    "processor": processor, "max_units": max_units,
-                    "fast": fast}
+                    "processor": processor, "max_units": max_units}
                    for seed in seeds]
     return parallel_call("repro.core.end2end:run_adversarial",
                          kwargs_list, jobs=jobs)

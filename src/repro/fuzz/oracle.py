@@ -70,12 +70,13 @@ from ..bedrock2.semantics import (
 )
 from ..bedrock2.smallstep import run_function_smallstep
 from ..compiler.pipeline import CompileError, compile_program
-from ..kami import memory as kami_memory
-from ..kami import pipeline_proc as kami_pipeline
-from ..kami.framework import ExternalWorld, System
-from ..kami.refinement import match_trace_prefix
-from ..kami.spec_proc import make_spec_processor
+from ..kami.refinement import (
+    build_pipelined_system,
+    build_spec_system,
+    match_trace_prefix,
+)
 from ..logic import terms as T
+from ..platform.bus import KamiWorldAdapter
 from ..riscv.fastpath import machine_state_diff
 from ..riscv.machine import RiscvMachine, RiscvUB
 from .generator import (
@@ -123,21 +124,6 @@ class SyntheticDevice:
 
     def is_mmio(self, addr: int) -> bool:
         return DEV_BASE <= addr < DEV_BASE + DEV_SIZE
-
-
-class DeviceWorld(ExternalWorld):
-    """Adapts `SyntheticDevice` to the Kami external-call interface."""
-
-    def __init__(self, device: SyntheticDevice) -> None:
-        self.device = device
-
-    def call(self, method: str, args: Tuple[int, ...]) -> Optional[int]:
-        if method == "mmioRead":
-            return self.device.read(args[0])
-        if method == "mmioWrite":
-            self.device.write(args[0], args[1])
-            return None
-        raise KeyError("unknown external method %r" % method)
 
 
 class LayerOutcome:
@@ -292,11 +278,10 @@ def _scratch_from_ram(ram: Sequence[int]) -> bytes:
 
 
 def _run_kami_spec(compiled, n_rets: int, ref_instret: int) -> LayerOutcome:
-    dev = SyntheticDevice()
-    mem_mod = kami_memory.make_memory_module(compiled.image,
-                                             ram_words=_RAM_WORDS)
-    proc = make_spec_processor()
-    system = System([proc, mem_mod], DeviceWorld(dev))
+    system = build_spec_system(compiled.image,
+                               KamiWorldAdapter(SyntheticDevice()),
+                               ram_words=_RAM_WORDS)
+    proc, mem_mod = system.modules
     budget = ref_instret + 64
     system.run(budget, stop=lambda s: proc.regs["pc"] == compiled.halt_pc)
     if proc.regs["pc"] != compiled.halt_pc:
@@ -317,12 +302,12 @@ def _run_kami_pipelined(compiled, n_rets: int, ref_instret: int,
     reference outcome. The pipeline never quiesces at the halt spin, so
     completion is detected by state: full expected trace emitted, return
     registers and scratch memory settled to the expected values."""
-    dev = SyntheticDevice()
-    mem_mod = kami_memory.make_memory_module(compiled.image,
-                                             ram_words=_RAM_WORDS)
     icache_words = len(compiled.image) // 4 + 4
-    proc = kami_pipeline.make_pipelined_processor(icache_words=icache_words)
-    system = System([proc, mem_mod], DeviceWorld(dev))
+    system = build_pipelined_system(compiled.image,
+                                    KamiWorldAdapter(SyntheticDevice()),
+                                    ram_words=_RAM_WORDS,
+                                    icache_words=icache_words)
+    proc, mem_mod = system.modules
     budget = icache_words + 24 * ref_instret + 600
 
     def snapshot() -> LayerOutcome:
@@ -668,8 +653,7 @@ def run_fuzz_seed(seed: int, config: Optional[dict] = None,
 def run_campaign(seeds: Sequence[int], config: Optional[GenConfig] = None,
                  mutation: Optional[str] = None,
                  logic_sample: int = 0, jobs: int = 1,
-                 time_budget: Optional[float] = None,
-                 layers: Sequence[str] = LAYERS) -> dict:
+                 time_budget: Optional[float] = None) -> dict:
     """Run the oracle over ``seeds`` (in parallel when ``jobs > 1``),
     optionally stopping early once ``time_budget`` seconds have elapsed.
 
@@ -690,8 +674,7 @@ def run_campaign(seeds: Sequence[int], config: Optional[GenConfig] = None,
         chunk = list(seeds)[start:start + batch]
         kwargs_list = [{"seed": s, "config": config_doc,
                         "mutation": mutation,
-                        "logic_check": s in logic_seeds,
-                        "layers": tuple(layers)} for s in chunk]
+                        "logic_check": s in logic_seeds} for s in chunk]
         results.extend(parallel_call("repro.fuzz.oracle:run_fuzz_seed",
                                      kwargs_list, jobs=jobs))
     summary = {

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from .. import obs
+from . import memory
 from .framework import ExternalWorld, System
-from .memory import make_memory_module
 from .pipeline_proc import make_pipelined_processor
 from .spec_proc import make_spec_processor
 
@@ -61,8 +61,12 @@ def match_trace_prefix(impl_trace: List[Tuple[str, int, int]],
 
 def build_spec_system(image: bytes, world: ExternalWorld,
                       ram_words: int = 1 << 16) -> System:
-    """Single-cycle spec processor attached to memory and ``world``."""
-    mem = make_memory_module(image, ram_words=ram_words)
+    """Single-cycle spec processor attached to memory and ``world``.
+
+    `memory.make_memory_module` is looked up at call time, here and in
+    `build_pipelined_system`, so a fault the mutation catalog
+    (`repro.fuzz.mutate`) patches into that module reaches both."""
+    mem = memory.make_memory_module(image, ram_words=ram_words)
     proc = make_spec_processor()
     return System([proc, mem], world)
 
@@ -71,7 +75,7 @@ def build_pipelined_system(image: bytes, world: ExternalWorld,
                            ram_words: int = 1 << 16,
                            icache_words: int = 4096) -> System:
     """The paper's p4mm: pipelined processor + I$ + BTB + memory."""
-    mem = make_memory_module(image, ram_words=ram_words)
+    mem = memory.make_memory_module(image, ram_words=ram_words)
     proc = make_pipelined_processor(icache_words=icache_words)
     return System([proc, mem], world)
 

@@ -1,42 +1,39 @@
-"""Unsigned interval and known-bits analysis over terms.
+"""Unsigned interval ∧ known-bits abstraction of bitvector words.
 
-A fast incomplete procedure used as a filter in front of the SAT solver:
-compute a conservative unsigned range ``[lo, hi]`` and a known-bits mask
-for every bitvector term, then try to refute or prove boolean terms from
-those abstractions. Sound for refutation ("definitely false" /
-"definitely true"); returns ``None`` when undecided.
+The one lattice the program logic and the static analyzers share, kept
+in the dependency-free logic layer:
 
-Two cooperating lattices:
+* `KnownBits` -- per-bit certainty (a mask of known positions and their
+  values); precise for the bitwise and shift operators, where intervals
+  lose everything;
+* `AbstractWord` -- a ``width``-bit unsigned range ``[lo, hi]`` meeting
+  a `KnownBits`; each half tightens the other, so e.g. ``x & 0xF0`` lies
+  in ``[0, 0xF0]`` and ``y << 2`` is known 4-aligned;
+* `word_binop` -- the transfer function of every binary operator, keyed
+  by the term operator names of `repro.logic.terms` and matching their
+  concrete semantics (shift amounts mod the width, RISC-V division by
+  zero: ``udiv(a, 0)`` is all-ones and ``urem(a, 0) = a``);
+* `abstract` -- one memoized walk over a term DAG. An environment may
+  hold facts about subterms (e.g. mined from a symbolic-execution path
+  condition by `repro.analysis.prescreen`); the walk meets each fact
+  with the value it computes;
+* `decide_bool` -- decides a boolean term from `abstract` alone: the
+  solver's cheap filter in front of SAT. Sound ("definitely true" /
+  "definitely false"); returns ``None`` when undecided.
 
-* **intervals** (`bv_range`): unsigned ``[lo, hi]`` over-approximations --
-  precise for arithmetic (``add``/``sub``/``mul``/``udiv``) when nothing
-  wraps;
-* **known bits** (`KnownBits`, `bv_bits`): per-bit certainty (mask of
-  known positions + their values) -- precise for the bitwise and shift
-  operators where intervals lose everything.
-
-`bv_range` consults the bit lattice for ``band``/``bor``/``bxor``/
-``shl``/``lshr``/``ashr`` so e.g. ``x & 0xF0`` has range ``[0, 0xF0]``
-and ``y << 2`` is known 4-aligned. The same lattice is shared by the
-static analyzer (`repro.analysis`), which is why it lives here in the
-dependency-free logic layer.
-
-Both analyses accept environments pre-seeding facts for subterms (e.g.
-mined from symbolic-execution path conditions -- see
-`repro.analysis.prescreen`).
+The analyzers in `repro.analysis` run `AbstractWord` and `word_binop`
+over Bedrock2 locals and machine registers, so one set of soundness
+tests covers the verifier and every analyzer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from . import terms as T
 
-Range = Tuple[int, int]
-
-
-def _full(width: int) -> Range:
-    return (0, (1 << width) - 1)
+WIDTH = 32
+MASK = (1 << WIDTH) - 1
 
 
 class KnownBits:
@@ -49,7 +46,7 @@ class KnownBits:
 
     __slots__ = ("width", "mask", "value")
 
-    def __init__(self, width: int, mask: int, value: int):
+    def __init__(self, width: int, mask: int, value: int) -> None:
         full = (1 << width) - 1
         self.width = width
         self.mask = mask & full
@@ -213,253 +210,243 @@ class KnownBits:
                          (self.value << low.width) | low.value)
 
 
-BitsEnv = Dict[T.Term, KnownBits]
+class AbstractWord:
+    """A set of ``width``-bit words: unsigned range [lo, hi] ∩ known bits.
 
-
-def bv_bits(t: T.Term, env: Optional[Dict[T.Term, Range]] = None,
-            bits_env: Optional[BitsEnv] = None,
-            _cache: Optional[dict] = None) -> KnownBits:
-    """A sound known-bits over-approximation of the values of ``t``.
-
-    ``bits_env`` may pre-seed bit facts for subterms; ``env`` (ranges, as
-    for `bv_range`) is consulted as a secondary source via
-    `KnownBits.from_range`.
+    The width is ``bits.width``; the ``width`` argument only matters when
+    no ``bits`` are given.
     """
-    if _cache is None:
-        _cache = {}
-    if t in _cache:
-        return _cache[t]
-    width = t.width
-    seed = None
-    if bits_env and t in bits_env:
-        seed = bits_env[t]
+
+    __slots__ = ("lo", "hi", "bits")
+
+    def __init__(self, lo: int, hi: int, bits: Optional[KnownBits] = None,
+                 width: int = WIDTH) -> None:
+        # Tighten the range by the bits and vice versa; a contradictory
+        # pair can only arise on an unreachable path, where any value is
+        # a sound answer. This is `KnownBits.umin`/`umax`, then a `meet`
+        # with `KnownBits.from_range(lo, hi)`, computed inline (with
+        # comparisons, not min/max calls) so each word builds one
+        # `KnownBits`: this constructor is the binary linter's hot path.
+        if bits is None:
+            mask = value = 0
+        else:
+            mask, value, width = bits.mask, bits.value, bits.width
+        full = (1 << width) - 1
+        if lo < value:
+            lo = value
+        umax = value | (full & ~mask)
+        if hi > umax:
+            hi = umax
+        if lo > hi:
+            hi = lo
+        self.lo = lo
+        self.hi = hi
+        prefix = full & ~((1 << (lo ^ hi).bit_length()) - 1)
+        self.bits = KnownBits(width, mask | prefix, value | (lo & prefix))
+
+    # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def top(width: int = WIDTH) -> "AbstractWord":
+        return AbstractWord(0, (1 << width) - 1, None, width)
+
+    @staticmethod
+    def const(value: int, width: int = WIDTH) -> "AbstractWord":
+        value &= (1 << width) - 1
+        # A one-value range knows every bit.
+        return AbstractWord(value, value, None, width)
+
+    @staticmethod
+    def boolean() -> "AbstractWord":
+        return AbstractWord(0, 1)
+
+    # -- queries -------------------------------------------------------------
+
+    def is_const(self) -> bool:
+        return self.lo == self.hi
+
+    def as_const(self) -> Optional[int]:
+        return self.lo if self.lo == self.hi else None
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, AbstractWord) and self.lo == other.lo
+                and self.hi == other.hi and self.bits.mask == other.bits.mask
+                and self.bits.value == other.bits.value)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.bits.mask, self.bits.value))
+
+    def __repr__(self) -> str:
+        return "AbstractWord[0x%x, 0x%x]" % (self.lo, self.hi)
+
+    # -- lattice -------------------------------------------------------------
+
+    def join(self, other: "AbstractWord") -> "AbstractWord":
+        return AbstractWord(min(self.lo, other.lo), max(self.hi, other.hi),
+                            self.bits.join(other.bits))
+
+    def widen(self, other: "AbstractWord") -> "AbstractWord":
+        lo = self.lo if other.lo >= self.lo else 0
+        hi = self.hi if other.hi <= self.hi else (1 << self.bits.width) - 1
+        return AbstractWord(lo, hi, self.bits.join(other.bits))
+
+    def meet(self, other: "AbstractWord") -> "AbstractWord":
+        """Combine two sound facts about the same value."""
+        return AbstractWord(max(self.lo, other.lo), min(self.hi, other.hi),
+                            self.bits.meet(other.bits))
+
+
+def word_binop(op: str, a: AbstractWord, b: AbstractWord) -> AbstractWord:
+    """Abstract transfer of the binary term operator ``op`` (see
+    `repro.logic.terms` for the concrete meaning each case
+    over-approximates). Comparisons (``ult``, ``slt``, ``eq``) give a
+    0/1 word, as Bedrock2's do. ``mulhuu`` (the high word of the
+    unsigned product) has no term operator of its own: terms spell it
+    ``extract(mul(zext a, zext b))``. Any other operator gives top."""
+    width = a.bits.width
+    full = (1 << width) - 1
+    if op == "add":
+        bits = a.bits.add(b.bits)
+        if a.hi + b.hi <= full:
+            return AbstractWord(a.lo + b.lo, a.hi + b.hi, bits)
+        return AbstractWord(0, full, bits)
+    if op == "sub":
+        bits = a.bits.sub(b.bits)
+        if a.lo - b.hi >= 0:
+            return AbstractWord(a.lo - b.hi, a.hi - b.lo, bits)
+        return AbstractWord(0, full, bits)
+    if op == "mul":
+        bits = a.bits.mul(b.bits)
+        if a.hi * b.hi <= full:
+            return AbstractWord(a.lo * b.lo, a.hi * b.hi, bits)
+        return AbstractWord(0, full, bits)
+    if op == "mulhuu":
+        return AbstractWord((a.lo * b.lo) >> width, (a.hi * b.hi) >> width,
+                            None, width)
+    if op == "udiv":
+        if b.lo >= 1:
+            return AbstractWord(a.lo // b.hi, a.hi // b.lo, None, width)
+        return AbstractWord.top(width)  # division by zero yields all-ones
+    if op == "urem":
+        if b.lo >= 1:
+            return AbstractWord(0, min(a.hi, b.hi - 1), None, width)
+        return AbstractWord(0, a.hi, None, width)  # urem(a, 0) = a
+    if op == "band":
+        return AbstractWord(0, min(a.hi, b.hi), a.bits.band(b.bits))
+    if op == "bor":
+        nbits = max(a.hi.bit_length(), b.hi.bit_length())
+        return AbstractWord(max(a.lo, b.lo), min(full, (1 << nbits) - 1),
+                            a.bits.bor(b.bits))
+    if op == "bxor":
+        nbits = max(a.hi.bit_length(), b.hi.bit_length())
+        return AbstractWord(0, min(full, (1 << nbits) - 1),
+                            a.bits.bxor(b.bits))
+    if op in ("shl", "lshr", "ashr"):
+        amount = b.as_const()
+        if amount is None:
+            if op == "lshr":
+                return AbstractWord(0, a.hi, None, width)
+            return AbstractWord.top(width)
+        amount %= width
+        if op == "shl":
+            bits = a.bits.shl(amount)
+            if a.hi << amount <= full:
+                return AbstractWord(a.lo << amount, a.hi << amount, bits)
+            return AbstractWord(0, full, bits)
+        if op == "lshr":
+            return AbstractWord(a.lo >> amount, a.hi >> amount,
+                                a.bits.lshr(amount))
+        return AbstractWord(0, full, a.bits.ashr(amount))
+    if op == "ult":
+        if a.hi < b.lo:
+            return AbstractWord.const(1)
+        if a.lo >= b.hi:
+            return AbstractWord.const(0)
+        return AbstractWord.boolean()
+    if op == "slt":
+        return AbstractWord.boolean()
+    if op == "eq":
+        if a.is_const() and b.is_const() and a.lo == b.lo:
+            return AbstractWord.const(1)
+        if a.hi < b.lo or b.hi < a.lo or a.bits.conflicts(b.bits):
+            return AbstractWord.const(0)
+        return AbstractWord.boolean()
+    return AbstractWord.top(width)
+
+
+def abstract(t: T.Term, env: Optional[Mapping[T.Term, AbstractWord]] = None,
+             _memo: Optional[Dict[T.Term, AbstractWord]] = None
+             ) -> AbstractWord:
+    """A sound over-approximation of the values of the bitvector term
+    ``t``. Each fact ``env`` holds about a subterm is met with the value
+    computed for it. One visit per DAG node: calls that pass the same
+    ``_memo`` share it."""
+    if _memo is None:
+        _memo = {}
+    word = _memo.get(t)
+    if word is not None:
+        return word
     op = t.op
+    args = t.args
     if op == "const":
-        r = KnownBits.from_const(t.value, width)
-    elif op == "var":
-        r = KnownBits.top(width)
-    elif op == "band":
-        r = bv_bits(t.args[0], env, bits_env, _cache).band(
-            bv_bits(t.args[1], env, bits_env, _cache))
-    elif op == "bor":
-        r = bv_bits(t.args[0], env, bits_env, _cache).bor(
-            bv_bits(t.args[1], env, bits_env, _cache))
-    elif op == "bxor":
-        r = bv_bits(t.args[0], env, bits_env, _cache).bxor(
-            bv_bits(t.args[1], env, bits_env, _cache))
-    elif op in ("shl", "lshr", "ashr") and t.args[1].is_const():
-        a = bv_bits(t.args[0], env, bits_env, _cache)
-        amount = t.args[1].value
-        r = getattr(a, op)(amount)
-    elif op == "add":
-        r = bv_bits(t.args[0], env, bits_env, _cache).add(
-            bv_bits(t.args[1], env, bits_env, _cache))
-    elif op == "sub":
-        r = bv_bits(t.args[0], env, bits_env, _cache).sub(
-            bv_bits(t.args[1], env, bits_env, _cache))
-    elif op == "mul":
-        r = bv_bits(t.args[0], env, bits_env, _cache).mul(
-            bv_bits(t.args[1], env, bits_env, _cache))
-    elif op == "zext":
-        r = bv_bits(t.args[0], env, bits_env, _cache).zext(width)
+        word = AbstractWord.const(t.value, t.width)
     elif op == "extract":
         hi, lo = t.attr
-        r = bv_bits(t.args[0], env, bits_env, _cache).extract(hi, lo)
-    elif op == "concat":
-        high, low = t.args
-        r = bv_bits(high, env, bits_env, _cache).concat(
-            bv_bits(low, env, bits_env, _cache))
-    elif op == "ite":
-        r = bv_bits(t.args[1], env, bits_env, _cache).join(
-            bv_bits(t.args[2], env, bits_env, _cache))
-    else:
-        r = KnownBits.top(width)
-    if seed is not None:
-        r = r.meet(seed)
-    if env and t in env:
-        lo, hi = env[t]
-        r = r.meet(KnownBits.from_range(lo, hi, width))
-    _cache[t] = r
-    return r
-
-
-def bv_range(t: T.Term, env: Optional[Dict[T.Term, Range]] = None,
-             _cache: Optional[dict] = None,
-             bits_env: Optional[BitsEnv] = None,
-             _bits_cache: Optional[dict] = None) -> Range:
-    """A sound unsigned over-approximation of the values of ``t``.
-
-    ``env`` may pre-seed ranges for subterms (e.g. from path conditions);
-    ``bits_env`` likewise for known-bits facts. For the bitwise and shift
-    operators the result is the intersection of interval reasoning with
-    the bounds implied by `bv_bits`.
-    """
-    if _cache is None:
-        _cache = {}
-    if env and t in env:
-        return env[t]
-    if t in _cache:
-        return _cache[t]
-    if _bits_cache is None:
-        _bits_cache = {}
-
-    def rec(s: T.Term) -> Range:
-        return bv_range(s, env, _cache, bits_env, _bits_cache)
-
-    width = t.width
-    m = (1 << width) - 1
-    op = t.op
-    bits: Optional[KnownBits] = None
-    if op == "const":
-        r = (t.value, t.value)
-    elif op == "var":
-        r = _full(width)
-    elif op == "add":
-        (alo, ahi) = rec(t.args[0])
-        (blo, bhi) = rec(t.args[1])
-        if ahi + bhi <= m:
-            r = (alo + blo, ahi + bhi)
+        inner = abstract(args[0], env, _memo)
+        bits = inner.bits.extract(hi, lo)
+        if inner.hi >> (hi + 1) == 0:  # no value has a bit above ``hi``
+            word = AbstractWord(inner.lo >> lo, inner.hi >> lo, bits)
         else:
-            r = _full(width)
-    elif op == "sub":
-        (alo, ahi) = rec(t.args[0])
-        (blo, bhi) = rec(t.args[1])
-        if alo - bhi >= 0:
-            r = (alo - bhi, ahi - blo)
-        else:
-            r = _full(width)
-    elif op == "mul":
-        (alo, ahi) = rec(t.args[0])
-        (blo, bhi) = rec(t.args[1])
-        if ahi * bhi <= m:
-            r = (alo * blo, ahi * bhi)
-        else:
-            r = _full(width)
-    elif op == "band":
-        (_, ahi) = rec(t.args[0])
-        (_, bhi) = rec(t.args[1])
-        r = (0, min(ahi, bhi))
-        bits = bv_bits(t, env, bits_env, _bits_cache)
-    elif op == "bor":
-        (alo, ahi) = rec(t.args[0])
-        (blo, bhi) = rec(t.args[1])
-        nbits = max(ahi.bit_length(), bhi.bit_length())
-        r = (max(alo, blo), min(m, (1 << nbits) - 1))
-        bits = bv_bits(t, env, bits_env, _bits_cache)
-    elif op == "bxor":
-        (_, ahi) = rec(t.args[0])
-        (_, bhi) = rec(t.args[1])
-        nbits = max(ahi.bit_length(), bhi.bit_length())
-        r = (0, min(m, (1 << nbits) - 1))
-        bits = bv_bits(t, env, bits_env, _bits_cache)
-    elif op == "shl":
-        if t.args[1].is_const():
-            amount = t.args[1].value % width
-            (alo, ahi) = rec(t.args[0])
-            if (ahi << amount) <= m:
-                r = (alo << amount, ahi << amount)
-            else:
-                r = _full(width)
-        else:
-            r = _full(width)
-        bits = bv_bits(t, env, bits_env, _bits_cache)
-    elif op == "lshr":
-        (alo, ahi) = rec(t.args[0])
-        if t.args[1].is_const():
-            amount = t.args[1].value % width
-            r = (alo >> amount, ahi >> amount)
-        else:
-            r = (0, ahi)
-        bits = bv_bits(t, env, bits_env, _bits_cache)
-    elif op == "ashr":
-        r = _full(width)
-        bits = bv_bits(t, env, bits_env, _bits_cache)
-    elif op == "extract":
-        hi, lo = t.attr
-        (_, ahi) = rec(t.args[0])
-        sub_m = (1 << (hi - lo + 1)) - 1
-        r = (0, min(sub_m, ahi >> lo) if lo == 0 else sub_m)
+            word = AbstractWord(0, (1 << (hi - lo + 1)) - 1, bits)
     elif op == "zext":
-        r = rec(t.args[0])
+        inner = abstract(args[0], env, _memo)
+        word = AbstractWord(inner.lo, inner.hi, inner.bits.zext(t.width))
     elif op == "concat":
-        high, low = t.args
-        (hlo, hhi) = rec(high)
-        (llo, lhi) = rec(low)
-        r = ((hlo << low.width) + llo, (hhi << low.width) + lhi)
+        high = abstract(args[0], env, _memo)
+        low = abstract(args[1], env, _memo)
+        shift = low.bits.width
+        word = AbstractWord((high.lo << shift) + low.lo,
+                            (high.hi << shift) + low.hi,
+                            high.bits.concat(low.bits))
     elif op == "ite":
-        (alo, ahi) = rec(t.args[1])
-        (blo, bhi) = rec(t.args[2])
-        r = (min(alo, blo), max(ahi, bhi))
-    elif op == "udiv":
-        (alo, ahi) = rec(t.args[0])
-        (blo, _) = rec(t.args[1])
-        if blo >= 1:
-            r = (0, ahi // blo)
-        else:
-            r = _full(width)  # division by zero gives all-ones
-    elif op == "urem":
-        (_, ahi) = rec(t.args[0])
-        (_, bhi) = rec(t.args[1])
-        r = (0, min(ahi, max(0, bhi - 1)) if bhi > 0 else ahi)
-    else:
-        r = _full(width)
-    if bits is not None and bits.mask:
-        # Intersect with the bounds the known bits imply. An empty
-        # intersection can only arise from contradictory seeded facts
-        # (an infeasible path); any sound answer is acceptable there.
-        r = (max(r[0], bits.umin()), min(r[1], bits.umax()))
-        if r[0] > r[1]:
-            r = (r[0], r[0])
-    _cache[t] = r
-    return r
+        word = abstract(args[1], env, _memo).join(
+            abstract(args[2], env, _memo))
+    elif len(args) == 2:
+        word = word_binop(op, abstract(args[0], env, _memo),
+                          abstract(args[1], env, _memo))
+    else:  # var, sext
+        word = AbstractWord.top(t.width)
+    if env is not None:
+        fact = env.get(t)
+        if fact is not None:
+            word = word.meet(fact)
+    _memo[t] = word
+    return word
 
 
-def decide_bool(t: T.Term, env: Optional[Dict[T.Term, Range]] = None,
-                _cache: Optional[dict] = None,
-                bits_env: Optional[BitsEnv] = None,
-                _bits_cache: Optional[dict] = None) -> Optional[bool]:
-    """Try to decide a boolean term from interval/known-bits information
-    alone."""
-    if _cache is None:
-        _cache = {}
-    if _bits_cache is None:
-        _bits_cache = {}
-
-    def rng(s: T.Term) -> Range:
-        return bv_range(s, env, _cache, bits_env, _bits_cache)
-
+def decide_bool(t: T.Term, env: Optional[Mapping[T.Term, AbstractWord]] = None,
+                _memo: Optional[Dict[T.Term, AbstractWord]] = None
+                ) -> Optional[bool]:
+    """Try to decide the boolean term ``t`` from `abstract` alone."""
+    if _memo is None:
+        _memo = {}
     op = t.op
     if op == "const":
         return bool(t.attr)
-    if op == "ult":
-        (alo, ahi) = rng(t.args[0])
-        (blo, bhi) = rng(t.args[1])
-        if ahi < blo:
-            return True
-        if alo >= bhi:
-            return False
-        return None
-    if op == "eq":
+    if op in ("ult", "eq"):
         a, b = t.args
-        (alo, ahi) = rng(a)
-        (blo, bhi) = rng(b)
-        if ahi < blo or bhi < alo:
-            return False
-        if alo == ahi == blo == bhi:
-            return True
-        if isinstance(a.sort, tuple):
-            abits = bv_bits(a, env, bits_env, _bits_cache)
-            bbits = bv_bits(b, env, bits_env, _bits_cache)
-            if abits.conflicts(bbits):
-                return False
-        return None
+        if not isinstance(a.sort, tuple):  # an equivalence of booleans
+            return None
+        value = word_binop(op, abstract(a, env, _memo),
+                           abstract(b, env, _memo)).as_const()
+        return None if value is None else bool(value)
     if op == "not":
-        inner = decide_bool(t.args[0], env, _cache, bits_env, _bits_cache)
+        inner = decide_bool(t.args[0], env, _memo)
         return None if inner is None else (not inner)
     if op == "and":
         any_unknown = False
         for arg in t.args:
-            d = decide_bool(arg, env, _cache, bits_env, _bits_cache)
+            d = decide_bool(arg, env, _memo)
             if d is False:
                 return False
             if d is None:
@@ -468,7 +455,7 @@ def decide_bool(t: T.Term, env: Optional[Dict[T.Term, Range]] = None,
     if op == "or":
         any_unknown = False
         for arg in t.args:
-            d = decide_bool(arg, env, _cache, bits_env, _bits_cache)
+            d = decide_bool(arg, env, _memo)
             if d is True:
                 return True
             if d is None:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis import LintConfig, lint_program
 from repro.analysis.dataflow import node_loc
-from repro.analysis.domains import AbstractWord, CsPairingSpec, _binop
+from repro.analysis.domains import CsPairingSpec, _binop
 from repro.analysis.lint import lint_flat_function, lint_function, render_json
 from repro.bedrock2 import word as W
 from repro.bedrock2.builder import (
@@ -29,7 +29,7 @@ from repro.bedrock2.builder import (
 from repro.bedrock2.extspec import MMIOSpec
 from repro.compiler.flatten import flatten_function, flatten_program
 from repro.logic import terms as T
-from repro.logic.intervals import KnownBits, bv_bits, bv_range, decide_bool
+from repro.logic.intervals import AbstractWord, KnownBits, abstract, decide_bool
 from repro.platform.bus import MMIO_RANGES
 from repro.sw import constants as C
 from repro.sw.doorlock import doorlock_program
@@ -333,8 +333,8 @@ def test_abstract_word_join_and_widen_contain_both():
 
 
 # ---------------------------------------------------------------------------
-# KnownBits / bv_range soundness over random term DAGs (exercises the
-# sharpened and/or/xor/shift transfer functions in logic.intervals).
+# `abstract` soundness over term DAGs (exercises the sharpened
+# and/or/xor/shift transfer functions and the env meet).
 
 _TERM_OPS = [
     (T.add, W.add), (T.sub, W.sub), (T.mul, W.mul),
@@ -362,40 +362,71 @@ def _random_term(rng, depth, concretes):
     return build(lhs, rhs), model(x, y)
 
 
-def test_bv_range_and_bits_sound_on_random_dags():
+def test_abstract_sound_on_random_dags():
     rng = random.Random(4321)
     for _ in range(1500):
         x = rng.randrange(1 << 32)
         y = rng.randrange(1 << 32)
         lo = rng.randrange(x + 1)
         hi = rng.randrange(x, 1 << 32)
-        env = {T.var("x", 32): (lo, hi)}
+        env = {T.var("x", 32): AbstractWord(lo, hi)}
         term, concrete = _random_term(rng, 3, {"x": x, "y": y})
-        rlo, rhi = bv_range(term, env=dict(env))
-        assert rlo <= concrete <= rhi, (term, concrete)
-        kb = bv_bits(term, env=dict(env))
-        assert concrete & kb.mask == kb.value, (term, concrete)
+        word = abstract(term, env)
+        assert word.lo <= concrete <= word.hi, (term, concrete)
+        assert concrete & word.bits.mask == word.bits.value, (term, concrete)
 
 
-def test_bv_range_uses_known_bits_for_masks():
+#: Every binary operator `abstract` gives a transfer function.
+_WALKED_OPS = ("add", "sub", "mul", "udiv", "urem", "band", "bor", "bxor",
+               "shl", "lshr", "ashr")
+
+
+@pytest.mark.parametrize("op", _WALKED_OPS)
+def test_abstract_binop_sound_exhaustively_at_width_4(op):
+    """Small widths make every corner reachable -- divisor 0, shift
+    amounts past the width, wrap-around -- which random 32-bit inputs
+    almost never draw: every concrete pair in random env ranges lands
+    inside the abstract result."""
+    rng = random.Random(op)
+    x, y = T.var("x", 4), T.var("y", 4)
+    term = T.bv_binop(op, x, y)
+    for _ in range(300):
+        xlo = rng.randrange(16)
+        xhi = rng.randrange(xlo, 16)
+        ylo = rng.randrange(16)
+        yhi = rng.randrange(ylo, 16)
+        env = {x: AbstractWord(xlo, xhi, None, 4),
+               y: AbstractWord(ylo, yhi, None, 4)}
+        word = abstract(term, env)
+        for a in range(xlo, xhi + 1):
+            for b in range(ylo, yhi + 1):
+                value = T.evaluate(term, {"x": a, "y": b})
+                assert word.lo <= value <= word.hi, (op, a, b, env)
+                assert value & word.bits.mask == word.bits.value, \
+                    (op, a, b, env)
+
+
+def test_abstract_uses_known_bits_for_masks():
     # x & 7 is within [0, 7] whatever x is -- the precision the dead-code
     # and alignment checks rely on.
     x = T.var("x", 32)
-    assert bv_range(T.band(x, T.const(7, 32))) == (0, 7)
-    assert bv_range(T.bor(T.band(x, T.const(0xF0, 32)),
-                          T.const(1, 32)))[1] <= 0xF1
-    assert bv_range(T.lshr(x, T.const(24, 32))) == (0, 0xFF)
-    assert bv_range(T.shl(x, T.const(30, 32)))[0] == 0
+    masked = abstract(T.band(x, T.const(7, 32)))
+    assert (masked.lo, masked.hi) == (0, 7)
+    assert abstract(T.bor(T.band(x, T.const(0xF0, 32)),
+                          T.const(1, 32))).hi <= 0xF1
+    top_byte = abstract(T.lshr(x, T.const(24, 32)))
+    assert (top_byte.lo, top_byte.hi) == (0, 0xFF)
+    assert abstract(T.shl(x, T.const(30, 32))).lo == 0
 
 
 def test_decide_bool_with_env():
     x = T.var("x", 32)
-    env = {x: (0, 9)}
-    assert decide_bool(T.ult(x, T.const(10, 32)), env=dict(env)) is True
-    assert decide_bool(T.ult(T.const(20, 32), x), env=dict(env)) is False
+    env = {x: AbstractWord(0, 9)}
+    assert decide_bool(T.ult(x, T.const(10, 32)), env) is True
+    assert decide_bool(T.ult(T.const(20, 32), x), env) is False
     assert decide_bool(T.eq(T.band(x, T.const(1, 32)),
                             T.const(2, 32))) is False
-    assert decide_bool(T.ult(x, T.const(5, 32)), env=dict(env)) is None
+    assert decide_bool(T.ult(x, T.const(5, 32)), env) is None
 
 
 def test_knownbits_from_range_and_conflicts():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic import terms as T
-from repro.logic.intervals import bv_range, decide_bool
+from repro.logic.intervals import abstract, decide_bool
 from repro.logic.simplify import linearize, normalize_bv, rebuild_linear, simplify
 
 NAMES = ["x", "y", "z"]
@@ -69,9 +69,10 @@ def test_simplify_preserves_truth(formula, model):
 @settings(max_examples=200, deadline=None)
 @given(bv_terms(), MODELS)
 def test_interval_is_sound(term, model):
-    lo, hi = bv_range(term)
+    word = abstract(term)
     value = T.evaluate(term, model)
-    assert lo <= value <= hi
+    assert word.lo <= value <= word.hi
+    assert value & word.bits.mask == word.bits.value
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.logic import ProofFailure, check_valid, is_satisfiable, prove
 from repro.logic import terms as T
-from repro.logic.intervals import bv_range, decide_bool
+from repro.logic.intervals import abstract, decide_bool
 from repro.logic.sat import SATISFIABLE, UNSATISFIABLE, solve_cnf
 
 
@@ -213,13 +213,15 @@ def test_blasted_semantics_matches_evaluation(pair):
 # -- intervals ----------------------------------------------------------------
 
 def test_interval_const_and_var():
-    assert bv_range(T.const(7)) == (7, 7)
-    assert bv_range(T.var("x", 8)) == (0, 255)
+    seven = abstract(T.const(7))
+    assert (seven.lo, seven.hi) == (7, 7)
+    byte = abstract(T.var("x", 8))
+    assert (byte.lo, byte.hi) == (0, 255)
 
 
 def test_interval_band_bound():
     x = T.var("x")
-    assert bv_range(T.band(x, T.const(0xFF)))[1] <= 0xFF
+    assert abstract(T.band(x, T.const(0xFF))).hi <= 0xFF
 
 
 def test_interval_decides_cheap_vcs():
@@ -232,3 +234,12 @@ def test_interval_decides_cheap_vcs():
 def test_interval_undecided_returns_none():
     x = T.var("x")
     assert decide_bool(T.ult(x, T.const(5))) is None
+
+
+def test_urem_by_zero_is_the_dividend():
+    # RISC-V defines remu(x, 0) = x, so x %u y can be all-ones; the
+    # interval tier must not bound it by y - 1.
+    x, y = T.var("x"), T.var("y")
+    result = check_valid(T.ult(T.bv_binop("urem", x, y), T.const(0xFFFFFFFF)))
+    assert not result.valid
+    assert result.model == {"x": 0xFFFFFFFF, "y": 0}
