@@ -29,8 +29,9 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..logic import cache as C
@@ -76,8 +77,7 @@ _EFFORT_REFS = tuple(
                       ("cnf_vars", "bitblast.cnf_vars"),
                       ("cnf_clauses", "bitblast.cnf_clauses")))
 _TIER_REFS = tuple(
-    (tier, obs.counter("solver.tier." + tier))
-    for tier in ("structural", "interval", "sat"))
+    (tier, obs.counter("solver.tier." + tier)) for tier in S.tier_counts())
 _CACHE_HITS = obs.counter("cache.hits")
 _CACHE_MISSES = obs.counter("cache.misses")
 
@@ -224,21 +224,27 @@ class Contract:
 
 class SymState:
     """One symbolic execution state (a conjunction of path facts plus a
-    symbolic store, memory, and trace)."""
+    symbolic store, memory, and trace).
 
-    __slots__ = ("locals", "path", "trace", "regions")
+    ``model`` is the model that last showed the path feasible (None
+    before the first feasibility query). Copies share it, so a model is
+    replaced, never changed in place."""
+
+    __slots__ = ("locals", "path", "trace", "regions", "model")
 
     def __init__(self):
         self.locals: Dict[str, T.Term] = {}
         self.path: List[T.Term] = []
         self.trace: List[object] = []
         self.regions: Dict[str, Region] = {}
+        self.model: Optional[Dict[str, int]] = None
 
     def copy(self) -> "SymState":
         other = SymState()
         other.locals = dict(self.locals)
         other.path = list(self.path)
         other.trace = list(self.trace)
+        other.model = self.model
         other.regions = {
             name: Region(r.name, r.base, r.size,
                          list(r.contents) if r.contents is not None else None)
@@ -250,9 +256,6 @@ class SymState:
         if fact is not T.TRUE:
             self.path.append(fact)
             _VCS_ASSUMED.inc()
-
-    def infeasible(self) -> bool:
-        return T.and_(*self.path) is T.FALSE
 
 
 class VC:
@@ -388,12 +391,10 @@ class VC:
         unprovable bounds record is not by itself a failed run)."""
         return self._discharge(state, goal, context)[0]
 
-    def feasible(self, state: SymState) -> bool:
-        """Cheap path-feasibility check (used to prune dead branches)."""
-        conj = T.and_(*state.path)
-        if conj is T.FALSE:
-            return False
-        return True
+
+#: How many of a function's most recent path models `SymExec` offers
+#: the solver as witnesses for the next feasibility query.
+RECENT_MODELS = 8
 
 
 class SymExec:
@@ -414,6 +415,7 @@ class SymExec:
         self.unroll_limit = unroll_limit
         self.max_paths = max_paths
         self._paths_done = 0
+        self._recent: Deque[Dict[str, int]] = deque(maxlen=RECENT_MODELS)
 
     # -- expressions ---------------------------------------------------------
 
@@ -529,11 +531,11 @@ class SymExec:
                 return
             then_state = state.copy()
             then_state.assume(taken)
-            if self.vc.feasible(then_state) and self._branch_feasible(then_state):
+            if self._feasible(then_state):
                 self._exec(c.then_, then_state, k, ctx + "/then")
             else_state = state
             else_state.assume(T.not_(taken))
-            if self.vc.feasible(else_state) and self._branch_feasible(else_state):
+            if self._feasible(else_state):
                 self._exec(c.else_, else_state, k, ctx + "/else")
             return
         if isinstance(c, SWhile):
@@ -557,12 +559,29 @@ class SymExec:
             return
         raise TypeError("not a command: %r" % (c,))
 
-    def _branch_feasible(self, state: SymState) -> bool:
-        """SAT-check the path; prunes provably dead branches so that
-        verification of e.g. error-handling ladders stays linear."""
-        result = S.is_satisfiable(T.and_(*state.path),
-                                  max_conflicts=self.vc.max_conflicts)
-        return result.valid
+    def _feasible(self, state: SymState) -> bool:
+        """Whether the path condition is satisfiable; prunes provably dead
+        branches so that verification of e.g. error-handling ladders
+        stays linear. A path the smart constructors fold to false makes
+        no query. Otherwise the solver is offered witnesses: the model
+        that settled the parent path (it satisfies one arm of every
+        ``if``), this function's `RECENT_MODELS` latest path models, and
+        the empty model. The model that shows the path feasible is kept
+        on the state and among the recent ones."""
+        path = T.and_(*state.path)
+        if path is T.FALSE:
+            return False
+        parent = state.model
+        witnesses = [] if parent is None else [parent]
+        witnesses.extend(m for m in reversed(self._recent) if m is not parent)
+        witnesses.append({})
+        result = S.is_satisfiable(path, max_conflicts=self.vc.max_conflicts,
+                                  witnesses=witnesses)
+        if not result.valid:
+            return False
+        state.model = result.model
+        self._recent.append(result.model)
+        return True
 
     # -- loops ----------------------------------------------------------------
 
@@ -596,7 +615,7 @@ class SymExec:
         cond = self.eval_expr(c.cond, body_state, ctx)
         taken = T.ne(cond, T.const(0))
         body_state.assume(taken)
-        if self.vc.feasible(body_state) and self._branch_feasible(body_state):
+        if self._feasible(body_state):
             measure_before = (spec.measure(body_state)
                               if spec.measure is not None else None)
             trace_mark = len(body_state.trace)
@@ -616,11 +635,12 @@ class SymExec:
 
             self._exec(c.body, body_state, at_backedge, ctx + "/body")
         # 4. Continue after the loop from the havocked head with the
-        #    condition false.
+        #    condition false (pruned only when it folds to false: no
+        #    solver query).
         exit_state = head
         cond = self.eval_expr(c.cond, exit_state, ctx)
         exit_state.assume(T.eq(cond, T.const(0)))
-        if self.vc.feasible(exit_state):
+        if T.and_(*exit_state.path) is not T.FALSE:
             k(exit_state)
 
     def _unroll_while(self, c: SWhile, state: SymState,
@@ -642,10 +662,10 @@ class SymExec:
             return
         exit_state = state.copy()
         exit_state.assume(T.not_(taken))
-        if self.vc.feasible(exit_state) and self._branch_feasible(exit_state):
+        if self._feasible(exit_state):
             k(exit_state)
         state.assume(taken)
-        if self.vc.feasible(state) and self._branch_feasible(state):
+        if self._feasible(state):
             self._exec(c.body, state,
                        lambda s: self._unroll_while(c, s, k, ctx, budget - 1),
                        ctx + "/body")

@@ -549,9 +549,9 @@ def run_differential(program: Program,
 
 class _CollectVC(vcgen.VC):
     """A VC that records proof obligations instead of discharging them.
-    Path-pruning solver queries (`feasible`, in-bounds resolution) still
-    run normally, so the collected set is exactly what the real verifier
-    would try to prove."""
+    Path-pruning solver queries (`SymExec._feasible`, in-bounds
+    resolution) still run normally, so the collected set is exactly what
+    the real verifier would try to prove."""
 
     def __init__(self) -> None:
         super().__init__()

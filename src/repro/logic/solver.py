@@ -2,11 +2,16 @@
 
 Plays the role of Coq's proof checking in the paper (section "What is
 checked" of DESIGN.md): verification conditions emitted by the program logic
-are *decided* here. The pipeline is:
+are *decided* here. After the proof cache (`repro.logic.cache`, when one
+is installed), the portfolio's tiers are:
 
-1. structural simplification (smart constructors already fold constants);
-2. unsigned interval analysis (`repro.logic.intervals`) as a cheap filter;
-3. bit-blasting to CNF + CDCL SAT (`repro.logic.bitblast`, `repro.logic.sat`).
+1. witness models: a query may come with candidate models (the symbolic
+   executor offers the models that settled earlier paths); one under
+   which the formula evaluates to true shows it satisfiable without any
+   search. A witness can only ever answer "satisfiable";
+2. structural simplification (smart constructors already fold constants);
+3. unsigned interval analysis (`repro.logic.intervals`) as a cheap filter;
+4. bit-blasting to CNF + CDCL SAT (`repro.logic.bitblast`, `repro.logic.sat`).
 
 The result of `prove` is either success or a concrete counterexample model,
 which is validated by evaluation before being reported (the solver never
@@ -16,7 +21,7 @@ reports an unchecked countermodel).
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import terms as T
 from .. import obs
@@ -78,7 +83,7 @@ def cached(cache):
 # validity queries each tier settled. These live in the observability
 # registry (`repro.obs`); the counters are pre-bound so the per-query cost
 # is one attribute increment.
-_TIERS = ("structural", "interval", "sat")
+_TIERS = ("structural", "witness", "interval", "sat")
 _TIER_COUNTERS = {tier: obs.counter("solver.tier." + tier) for tier in _TIERS}
 _QUERIES = obs.counter("solver.queries")
 _SAT_DECISIONS = obs.counter("sat.decisions")
@@ -141,18 +146,15 @@ def _replay_cached(entry, varmap: Dict[str, str], formula: T.Term,
         orig = inverse.get(canon)
         if orig is not None:
             model[orig] = value
-    _complete_model(model, goal, hyps)
-    try:
-        falsifies = T.evaluate(formula, model)
-    except (KeyError, ValueError, TypeError):
-        falsifies = False
-    if not falsifies:
+    model = _model_of(formula, _free_vars(goal, hyps), model)
+    if model is None:
         return None
     return Result(False, model)
 
 
 def check_valid(goal: T.Term, hypotheses: Iterable[T.Term] = (),
-                max_conflicts: int = 2_000_000) -> Result:
+                max_conflicts: int = 2_000_000,
+                witnesses: Sequence[Dict[str, int]] = ()) -> Result:
     """Decide whether ``hypotheses |= goal``.
 
     Returns a `Result`; when invalid, ``result.model`` is a satisfying
@@ -160,7 +162,9 @@ def check_valid(goal: T.Term, hypotheses: Iterable[T.Term] = (),
 
     When a proof cache is installed (`set_cache`), the formula is
     content-addressed first and decided results are recorded; cache hits
-    skip the decision procedure entirely.
+    skip the decision procedure entirely. ``witnesses`` are candidate
+    models tried next (see `_witness`); one that satisfies
+    ``hypotheses & ~goal`` settles the query as invalid, with no search.
     """
     hyps: List[T.Term] = [h for h in hypotheses]
     _QUERIES.inc()
@@ -181,7 +185,7 @@ def check_valid(goal: T.Term, hypotheses: Iterable[T.Term] = (),
                     return result
                 cache.poison(digest)
             C.MISSES.inc()
-        result = _decide(formula, goal, hyps, max_conflicts, sp)
+        result = _decide(formula, goal, hyps, max_conflicts, witnesses, sp)
         if cache is not None:
             canonical = None
             if result.model is not None:
@@ -193,9 +197,16 @@ def check_valid(goal: T.Term, hypotheses: Iterable[T.Term] = (),
 
 
 def _decide(formula: T.Term, goal: T.Term, hyps: List[T.Term],
-            max_conflicts: int, sp) -> Result:
-    """The three-tier decision portfolio (structural, interval, SAT)."""
+            max_conflicts: int, witnesses: Sequence[Dict[str, int]],
+            sp) -> Result:
+    """The decision portfolio (witness, structural, interval, SAT)."""
     if formula not in (T.TRUE, T.FALSE):
+        if witnesses:
+            model = _witness(formula, _free_vars(goal, hyps), witnesses)
+            if model is not None:
+                _TIER_COUNTERS["witness"].inc()
+                sp.set("tier", "witness")
+                return Result(False, model)
         formula = simplify(formula)
     if formula is T.FALSE:
         _TIER_COUNTERS["structural"].inc()
@@ -227,7 +238,7 @@ def _decide(formula: T.Term, goal: T.Term, hyps: List[T.Term],
     if outcome != SATISFIABLE:
         return Result(True)
     model = blaster.extract_model(blaster.solver.model())
-    _complete_model(model, goal, hyps)
+    _complete_model(model, _free_vars(goal, hyps))
     # Sanity: the countermodel must actually falsify the implication.
     assert T.evaluate(formula, model), "bit-blaster returned a bogus model"
     return Result(False, model)
@@ -241,27 +252,75 @@ def prove(goal: T.Term, hypotheses: Iterable[T.Term] = (),
         raise ProofFailure(goal, result.model)
 
 
-def is_satisfiable(formula: T.Term, max_conflicts: int = 2_000_000) -> Result:
-    """Decide satisfiability of ``formula``; model returned if sat."""
-    inverse = check_valid(T.not_(formula), max_conflicts=max_conflicts)
+def is_satisfiable(formula: T.Term, max_conflicts: int = 2_000_000,
+                   witnesses: Sequence[Dict[str, int]] = ()) -> Result:
+    """Decide satisfiability of ``formula``; model returned if sat.
+
+    ``witnesses`` are candidate models to try before any search (see
+    `check_valid`): the first one that makes ``formula`` true, once
+    completed, is the returned model."""
+    inverse = check_valid(T.not_(formula), max_conflicts=max_conflicts,
+                          witnesses=witnesses)
     if inverse.valid:
         return Result(False)
     return Result(True, inverse.model)
 
 
-def _complete_model(model: Dict[str, int], goal: T.Term,
-                    hyps: List[T.Term]) -> None:
-    """Fill in variables the blaster never saw (eliminated by folding)."""
+def _free_vars(goal: T.Term, hyps: List[T.Term]) -> set:
+    """The (name, sort) pairs a model of ``hyps & ~goal`` must bind."""
     names = T.free_vars(goal)
     for hyp in hyps:
         T.free_vars(hyp, names)
+    return names
+
+
+def _complete_model(model: Dict[str, int], names: set, fill: int = 0) -> None:
+    """Bind every variable of ``names`` the model lacks (eliminated by
+    folding, or unseen by a witness) to ``fill``: 0, 1, or -1 for
+    all-ones, masked to the variable's width; a boolean gets
+    ``fill != 0``."""
     for name, sort in names:
         if name not in model:
-            model[name] = False if sort == T.BOOL else 0
+            model[name] = (fill != 0 if sort == T.BOOL
+                           else fill & ((1 << sort[1]) - 1))
+
+
+def _model_of(formula: T.Term, names: set, model: Dict[str, int],
+              fill: int = 0) -> Optional[Dict[str, int]]:
+    """A copy of ``model`` completed for ``names`` (`_complete_model`),
+    if ``formula`` evaluates to true under it; else None. Both a cached
+    countermodel and a witness are accepted only through this check."""
+    completed = dict(model)
+    _complete_model(completed, names, fill)
+    try:
+        holds = T.evaluate(formula, completed)
+    except (KeyError, ValueError, TypeError):
+        holds = False
+    return completed if holds else None
+
+
+#: The values a witness's missing variables are completed with, in
+#: order: 0, then 1, then all-ones (-1 masked to each variable's width).
+_FILLS = (0, 1, -1)
+
+
+def _witness(formula: T.Term, names: set,
+             witnesses: Sequence[Dict[str, int]]) -> Optional[Dict[str, int]]:
+    """The first candidate model, in order, that makes ``formula`` true
+    once completed (each completion of `_FILLS` tried in turn); None when
+    none does. Sound: the result is checked by evaluation, and it can
+    only show ``formula`` satisfiable."""
+    for candidate in witnesses:
+        complete = all(name in candidate for name, _ in names)
+        for fill in _FILLS[:1] if complete else _FILLS:
+            model = _model_of(formula, names, candidate, fill)
+            if model is not None:
+                return model
+    return None
 
 
 def _arbitrary_model(formula: T.Term, goal: T.Term,
                      hyps: List[T.Term]) -> Dict[str, int]:
     model: Dict[str, int] = {}
-    _complete_model(model, goal, hyps)
+    _complete_model(model, _free_vars(goal, hyps))
     return model

@@ -176,6 +176,115 @@ def test_variable_shift_blast():
     prove(goal, hypotheses=[T.ult(n, T.const(8, 8))])
 
 
+
+# -- the witness tier -----------------------------------------------------------
+
+
+def _tiers():
+    from repro.logic.solver import tier_counts
+
+    return tier_counts()
+
+
+def _random_formula(rng, names):
+    def word(depth):
+        if depth == 0 or rng.random() < 0.3:
+            if rng.random() < 0.7:
+                return T.var(rng.choice(names), 8)
+            return T.const(rng.randrange(256), 8)
+        op = rng.choice(["add", "sub", "mul", "band", "bor", "bxor"])
+        return T.bv_binop(op, word(depth - 1), word(depth - 1))
+
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        compare = rng.choice([T.eq, T.ult, T.ule, T.slt])
+        atom = compare(word(2), word(2))
+        atoms.append(atom if rng.random() < 0.7 else T.not_(atom))
+    return T.and_(*atoms) if rng.random() < 0.7 else T.or_(*atoms)
+
+
+def _random_candidate(rng, names):
+    # Partial models, sometimes binding a variable the formula lacks.
+    pool = names + ["unrelated"]
+    return {name: rng.randrange(256)
+            for name in rng.sample(pool, rng.randint(0, len(pool)))}
+
+
+def test_witnesses_never_change_the_verdict():
+    rng = random.Random(19)
+    names = ["a", "b", "c"]
+    witness_settled = 0
+    for _ in range(200):
+        formula = _random_formula(rng, names)
+        candidates = [_random_candidate(rng, names)
+                      for _ in range(rng.randint(1, 4))]
+        before = _tiers()["witness"]
+        with_witnesses = is_satisfiable(formula, witnesses=candidates)
+        witness_settled += _tiers()["witness"] - before
+        assert with_witnesses.valid == is_satisfiable(formula).valid
+        if with_witnesses.valid:
+            # Every returned model binds the formula's variables and
+            # makes it true -- so no falsifying candidate is returned.
+            assert T.evaluate(formula, with_witnesses.model)
+            for candidate in candidates:
+                for fill in (0, 1, 0xFF):
+                    completed = dict(candidate)
+                    for name in names:
+                        completed.setdefault(name, fill)
+                    if not T.evaluate(formula, completed):
+                        assert with_witnesses.model != completed
+    assert witness_settled > 50
+
+
+def test_a_falsifying_witness_is_never_returned():
+    x = T.var("x")
+    before = _tiers()
+    result = is_satisfiable(T.ult(x, T.const(5)),
+                            witnesses=[{"x": 7}, {"x": 200, "y": 1}])
+    assert result.valid and result.model["x"] < 5
+    after = _tiers()
+    assert after["witness"] == before["witness"]
+    assert after["sat"] == before["sat"] + 1
+
+
+def test_a_witness_is_completed_with_zeros_then_ones_then_all_ones():
+    x, y, z = T.var("x"), T.var("y"), T.var("z", 8)
+    before = _tiers()
+    zeros = is_satisfiable(T.eq(x, T.const(7)), witnesses=[{"x": 7}])
+    assert zeros.model == {"x": 7}
+    ones = is_satisfiable(T.and_(T.eq(x, T.const(7)), T.eq(y, T.const(1))),
+                          witnesses=[{"x": 7}])
+    assert ones.model == {"x": 7, "y": 1}
+    all_ones = is_satisfiable(
+        T.and_(T.eq(x, T.const(7)), T.eq(y, T.const(0xFFFFFFFF)),
+               T.eq(z, T.const(0xFF, 8))),
+        witnesses=[{"x": 7}])
+    assert all_ones.model == {"x": 7, "y": 0xFFFFFFFF, "z": 0xFF}
+    after = _tiers()
+    assert after["witness"] == before["witness"] + 3
+    assert after["sat"] == before["sat"]  # no bit-blasting at all
+
+
+def test_a_witness_answer_is_cached_after_the_lookup():
+    from repro import obs
+    from repro.logic.cache import ProofCache
+    from repro.logic.solver import cached
+
+    x, y = T.var("x"), T.var("y")
+    formula = T.ult(x, y)
+    hits = obs.counter("cache.hits")
+    with cached(ProofCache()) as cache:
+        before, hits0 = _tiers()["witness"], hits.value
+        first = is_satisfiable(formula, witnesses=[{"x": 1, "y": 2}])
+        assert first.model == {"x": 1, "y": 2} and len(cache) == 1
+        # The second query is a cache hit, not a second witness check,
+        # and replays the stored witness.
+        second = is_satisfiable(formula, witnesses=[{"x": 1, "y": 2}])
+        assert second.model == {"x": 1, "y": 2}
+        assert _tiers()["witness"] == before + 1
+        assert hits.value == hits0 + 1
+
+
 # -- differential testing: solver vs direct evaluation ------------------------
 
 @st.composite

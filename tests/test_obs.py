@@ -202,7 +202,7 @@ def test_full_stack_trace_includes_solver_and_cpu_spans(tmp_path):
     # read-through alias is gone -- see test_solver_stats_alias_removed).
     stats = tier_counts()
     assert sum(stats.values()) >= 1
-    assert stats.keys() == {"structural", "interval", "sat"}
+    assert stats.keys() == {"structural", "witness", "interval", "sat"}
 
     # Key counters the CLI surfaces are non-zero.
     assert obs.counter("riscv.instructions").value == 60_000
@@ -218,4 +218,5 @@ def test_solver_stats_alias_removed():
     assert not hasattr(solver, "STATS")
     assert not hasattr(solver, "_TierStatsView")
     assert not hasattr(solver, "reset_stats")
-    assert set(solver.tier_counts()) == {"structural", "interval", "sat"}
+    assert set(solver.tier_counts()) == {"structural", "witness",
+                                          "interval", "sat"}

@@ -65,6 +65,24 @@ def test_infeasible_branch_pruned():
     assert report.paths == 1  # constant condition: else is dead
 
 
+def test_dead_arm_only_the_solver_sees_is_pruned():
+    # Neither condition folds (x is a parameter), and "x < 10 and not
+    # x < 20" is dead by arithmetic alone. Witness models settle the live
+    # arms; the dead arm must still reach a refutation tier and be cut.
+    from repro.logic.solver import tier_counts
+
+    prog = {"f": func("f", ("x",), ("r",), block(
+        if_(var("x") < 10,
+            if_(var("x") < 20, set_("r", lit(1)), set_("r", lit(2))),
+            set_("r", lit(3)))))}
+    before = tier_counts()
+    report = verify(prog, "f", FunctionSpec())
+    settled = {tier: n - before[tier] for tier, n in tier_counts().items()}
+    assert report.paths == 2
+    assert settled["witness"] >= 1
+    assert settled["structural"] + settled["interval"] + settled["sat"] >= 1
+
+
 # -- memory ------------------------------------------------------------------------
 
 def region_pre(size=16):
