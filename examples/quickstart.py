@@ -55,14 +55,14 @@ GCD = {
 #    checked at every back edge) plus a functional property.
 
 
-def post(vc, state, args, rets):
+def post(args, rets):
     a, b = args
-    vc.prove(state,
-             T.implies(T.eq(b, T.const(0)), T.eq(rets[0], a)),
-             "gcd(a, 0) == a")
+    return {"gcd(a, 0) == a": T.implies(T.eq(b, T.const(0)),
+                                        T.eq(rets[0], a))}
 
 
-report = verify_function(GCD, "gcd", FunctionSpec(post=post), MMIOSpec([]))
+report = verify_function(GCD, "gcd", {"gcd": FunctionSpec(post=post)},
+                         MMIOSpec([]))
 print("program logic:", report)
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def cmd_verify(args) -> int:
         cache = ProofCache(args.cache)
     run = verify_all(jobs=args.jobs, cache=cache, prescreen=args.prescreen)
     print(run)
-    print("door-lock application (reusing the driver contracts):")
+    print("door-lock application (reusing the driver specs):")
     doorlock = verify_doorlock(jobs=args.jobs, cache=cache,
                                prescreen=args.prescreen)
     print(doorlock)

@@ -162,8 +162,6 @@ class Function:
     params: Tuple[str, ...]
     rets: Tuple[str, ...]
     body: Cmd
-    # Optional contract used for modular verification (`repro.bedrock2.vcgen`).
-    spec: Optional[object] = field(default=None, compare=False)
 
 
 Program = Dict[str, Function]

@@ -240,6 +240,6 @@ def stackalloc(name: str, nbytes: int, body: Cmd) -> Cmd:
     return _mark(SStackalloc(name, nbytes, body))
 
 
-def func(name: str, params: Sequence[str], rets: Sequence[str], body: Cmd,
-         spec=None) -> Function:
-    return _mark(Function(name, tuple(params), tuple(rets), body, spec=spec))
+def func(name: str, params: Sequence[str], rets: Sequence[str],
+         body: Cmd) -> Function:
+    return _mark(Function(name, tuple(params), tuple(rets), body))

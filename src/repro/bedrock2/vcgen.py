@@ -13,9 +13,9 @@ Supported reasoning, mirroring the paper's usage:
 * loops via `LoopSpec` (invariant + strictly decreasing unsigned measure --
   the paper proves *total* correctness, hence the timeout counters in the
   drivers) or via bounded unrolling when the condition resolves concretely;
-* modular function calls via `Contract`s (callee verified separately; call
-  site proves the precondition and assumes the postcondition), the paper's
-  central modularity mechanism;
+* modular function calls via one `FunctionSpec` per function (the body is
+  verified against it once; every call site proves its precondition and
+  assumes its postcondition), the paper's central modularity mechanism;
 * external calls via a symbolic external-call specification (`vcextern` in
   the paper), instantiated for MMIO in `repro.bedrock2.extspec`;
 * memory via named regions (separation-logic flavor): concrete-offset
@@ -153,8 +153,9 @@ class SymEvent:
 
 @dataclass(frozen=True)
 class TraceHole:
-    """An abstract trace segment produced by a havocked loop or a callee
-    contract: "zero or more events, each satisfying the tagged shape".
+    """An abstract trace segment produced by a havocked loop or a call to
+    a specified function: "zero or more events, each satisfying the tagged
+    shape".
     Trace predicates over symbolic traces interpret holes by tag."""
 
     tag: str
@@ -204,22 +205,39 @@ class LoopSpec:
     tag: str = "loop"
 
 
+def _no_facts(*_args) -> Dict[str, T.Term]:
+    return {}
+
+
 @dataclass
-class Contract:
-    """A function contract for modular verification (section 6.1).
+class FunctionSpec:
+    """The one specification of a Bedrock2 function (Bedrock2's
+    ``spec_of``, sections 4.1 and 6.1), used both ways: `verify_function`
+    assumes its precondition and proves its postcondition on the body,
+    and every call site proves the precondition and assumes the
+    postcondition -- so a caller assumes only what the callee's own
+    verification proved.
 
-    ``pre(vc, args, state)`` proves obligations at the call site;
-    ``rets`` is the number of returned values (fresh symbols);
-    ``post(vc, args, rets, state)`` assumes facts about the results;
-    ``trace_effect(args, rets) -> list`` of SymEvent/TraceHole appended to
-    the trace (the callee's visible I/O summary);
-    ``modified_regions``: caller regions conservatively havocked."""
+    ``pre(args)`` and ``post(args, rets)`` return ``{label: Term}`` facts.
+    The body assumes each ``pre`` fact and proves each ``post`` fact as
+    ``f/post-<label>``; a call proves each ``pre`` fact as
+    ``<ctx>/call:f/pre/<label>``, then assumes each ``post`` fact.
 
-    name: str
-    pre: Optional[Callable] = None
-    post: Optional[Callable] = None
-    trace_effect: Optional[Callable] = None
-    modified_regions: Sequence[str] = ()
+    ``buffers`` lists ``(argument index, region name, bytes)``. On entry
+    the argument is the word-aligned, non-wrapping base of a fresh owned
+    region of that name and size; a call proves the argument is the base
+    of the caller's region of that name (``.../pre/<name>-is-region``) and
+    havocs that region.
+
+    ``on_exit(vc, state, args, rets)`` runs on each final state of the
+    body after the postcondition: the checks only the body can make, such
+    as ones over its own trace. A call contributes ``TraceHole(f)``.
+    """
+
+    pre: Callable[..., Dict[str, T.Term]] = _no_facts
+    post: Callable[..., Dict[str, T.Term]] = _no_facts
+    buffers: Sequence[Tuple[int, str, int]] = ()
+    on_exit: Optional[Callable] = None
 
 
 class SymState:
@@ -256,6 +274,16 @@ class SymState:
         if fact is not T.TRUE:
             self.path.append(fact)
             _VCS_ASSUMED.inc()
+
+
+def _own_region(state: SymState, name: str, base: T.Term, size: int,
+                contents: List[T.Term]) -> None:
+    """Own ``size`` bytes at ``base`` as region ``name``. The address is
+    arbitrary but word-aligned and non-wrapping -- exactly the guarantees
+    the compiler provides."""
+    state.assume(T.eq(T.band(base, T.const(3)), T.const(0)))
+    state.assume(T.ule(base, T.const(0xFFFFFFFF - size)))
+    state.regions[name] = Region(name, base, size, contents)
 
 
 class VC:
@@ -402,19 +430,18 @@ class SymExec:
 
     `run` explores every feasible path (branching duplicates the state) and
     invokes ``on_exit(state)`` at each normal exit. Loop and call handling
-    follow the rules documented on `LoopSpec` and `Contract`.
+    follow the rules documented on `LoopSpec` and `FunctionSpec`; a call
+    to a function without a spec in ``specs`` is inlined.
     """
 
     def __init__(self, program: Program, vc: VC, ext_spec,
-                 contracts: Optional[Dict[str, Contract]] = None,
-                 unroll_limit: int = 64, max_paths: int = 4096):
+                 specs: Optional[Dict[str, FunctionSpec]] = None,
+                 unroll_limit: int = 64):
         self.program = program
         self.vc = vc
         self.ext_spec = ext_spec
-        self.contracts = contracts or {}
+        self.specs = specs or {}
         self.unroll_limit = unroll_limit
-        self.max_paths = max_paths
-        self._paths_done = 0
         self._recent: Deque[Dict[str, int]] = deque(maxlen=RECENT_MODELS)
 
     # -- expressions ---------------------------------------------------------
@@ -677,15 +704,10 @@ class SymExec:
         if c.nbytes % 4 != 0:
             raise VerificationError(ctx, "stackalloc size not word-aligned")
         base = self.vc.fresh("stk_%s" % c.name)
-        # The address is arbitrary but word-aligned and non-wrapping --
-        # exactly the guarantees the compiler provides.
-        state.assume(T.eq(T.band(base, T.const(3)), T.const(0)))
-        state.assume(T.ule(base, T.const(0xFFFFFFFF - c.nbytes)))
         region_name = "stack_%s_%d" % (c.name, next(self.vc._counter))
-        region = Region(region_name, base, c.nbytes,
-                        [self.vc.fresh("%s_init" % region_name, 8)
-                         for _ in range(c.nbytes)])
-        state.regions[region_name] = region
+        _own_region(state, region_name, base, c.nbytes,
+                    [self.vc.fresh("%s_init" % region_name, 8)
+                     for _ in range(c.nbytes)])
         state.locals[c.name] = base
 
         def after(s: SymState) -> None:
@@ -696,30 +718,35 @@ class SymExec:
 
     def _exec_call(self, c: SCall, state: SymState,
                    k: Callable[[SymState], None], ctx: str) -> None:
-        contract = self.contracts.get(c.func)
+        spec = self.specs.get(c.func)
         args = tuple(self.eval_expr(a, state, ctx) for a in c.args)
-        if contract is not None:
-            cctx = ctx + "/call:" + c.func
-            if contract.pre is not None:
-                contract.pre(self.vc, state, args, cctx + "/pre")
+        if spec is not None:
+            pctx = ctx + "/call:" + c.func + "/pre/"
+            for index, name, size in spec.buffers:
+                region = state.regions.get(name)
+                if region is None or region.size < size:
+                    raise VerificationError(
+                        pctx + name + "-is-region",
+                        "caller owns no %d-byte region %r" % (size, name))
+                self.vc.prove(state, T.eq(args[index], region.base),
+                              pctx + name + "-is-region")
+            for label, fact in spec.pre(args).items():
+                self.vc.prove(state, fact, pctx + label)
             fn = self.program.get(c.func)
             n_rets = len(fn.rets) if fn is not None else len(c.binds)
             rets = tuple(self.vc.fresh("%s_ret" % c.func) for _ in range(n_rets))
-            for rname in contract.modified_regions:
-                if rname in state.regions:
-                    state.regions[rname].havoc(self.vc.fresh)
-            if contract.trace_effect is not None:
-                effect = contract.trace_effect(args, rets)
-                state.trace = state.trace + list(effect)
-            if contract.post is not None:
-                contract.post(self.vc, state, args, rets, cctx + "/post")
+            for _, name, _ in spec.buffers:
+                state.regions[name].havoc(self.vc.fresh)
+            state.trace = state.trace + [TraceHole(c.func)]
+            for fact in spec.post(args, rets).values():
+                state.assume(fact)
             if len(rets) != len(c.binds):
                 raise VerificationError(ctx, "return-arity mismatch")
             for name, value in zip(c.binds, rets):
                 state.locals[name] = value
             k(state)
             return
-        # No contract: inline the callee (whole-program fallback).
+        # No spec: inline the callee (whole-program fallback).
         fn = self.program.get(c.func)
         if fn is None:
             raise VerificationError(ctx, "call to unknown function %r" % c.func)
@@ -778,18 +805,6 @@ def _sym_binop(op: str, a: T.Term, b: T.Term) -> T.Term:
 
 
 @dataclass
-class FunctionSpec:
-    """Top-level specification of a Bedrock2 function for verification.
-
-    ``pre(vc, state, args)`` sets up regions and assumptions;
-    ``post(vc, state, args, rets)`` proves the final obligations (it may
-    inspect ``state.trace``, including `TraceHole`s)."""
-
-    pre: Optional[Callable] = None
-    post: Optional[Callable] = None
-
-
-@dataclass
 class VerifyReport:
     """Outcome summary of verifying one function.
 
@@ -816,20 +831,24 @@ class VerifyReport:
         return base
 
 
-def verify_function(program: Program, fname: str, spec: FunctionSpec,
-                    ext_spec, contracts: Optional[Dict[str, Contract]] = None,
+def verify_function(program: Program, fname: str,
+                    specs: Dict[str, FunctionSpec], ext_spec,
                     unroll_limit: int = 64,
                     max_conflicts: int = 2_000_000,
                     prescreen: Optional[Callable[[SymState, T.Term], bool]] = None,
                     ) -> VerifyReport:
-    """Verify ``program[fname]`` against ``spec``.
+    """Verify ``program[fname]`` against ``specs[fname]``.
 
-    Every feasible symbolic path through the body is explored; `spec.post`
-    runs at each exit. Raises `VerificationError` on any failed obligation;
-    budget-exceeded obligations are reported per VC in
+    The body owns the spec's buffers and assumes its precondition; every
+    feasible symbolic path is explored, and at each exit the
+    postcondition is proved, then the spec's ``on_exit`` hook runs. Calls
+    to functions in ``specs`` use their specs (see `FunctionSpec`); other
+    callees are inlined. Raises `VerificationError` on any failed
+    obligation; budget-exceeded obligations are reported per VC in
     ``VerifyReport.timeouts`` (see `VC`). ``prescreen`` is forwarded to
     `VC` (see there for the soundness contract).
     """
+    spec = specs[fname]
     fn = program[fname]
     vc = VC(max_conflicts=max_conflicts, prescreen=prescreen,
             function=fname)
@@ -837,9 +856,13 @@ def verify_function(program: Program, fname: str, spec: FunctionSpec,
     args = tuple(vc.fresh(p) for p in fn.params)
     state.locals = dict(zip(fn.params, args))
     with obs.span("verify." + fname, cat="vcgen") as sp:
-        if spec.pre is not None:
-            spec.pre(vc, state, args)
-        executor = SymExec(program, vc, ext_spec, contracts=contracts,
+        for index, name, size in spec.buffers:
+            _own_region(state, name, args[index], size,
+                        [vc.fresh("%s_b%d" % (name, i), 8)
+                         for i in range(size)])
+        for fact in spec.pre(args).values():
+            state.assume(fact)
+        executor = SymExec(program, vc, ext_spec, specs=specs,
                            unroll_limit=unroll_limit)
         paths = [0]
 
@@ -848,14 +871,15 @@ def verify_function(program: Program, fname: str, spec: FunctionSpec,
             # Postcondition obligations belong to the spec, not to
             # whichever statement happened to execute last on the path.
             vc.current_loc = None
-            rets = []
             for name in fn.rets:
                 if name not in final.locals:
                     raise VerificationError(fname,
                                             "missing return variable %r" % name)
-                rets.append(final.locals[name])
-            if spec.post is not None:
-                spec.post(vc, final, args, tuple(rets))
+            rets = tuple(final.locals[name] for name in fn.rets)
+            for label, fact in spec.post(args, rets).items():
+                vc.prove(final, fact, "%s/post-%s" % (fname, label))
+            if spec.on_exit is not None:
+                spec.on_exit(vc, final, args, rets)
 
         executor.run(fn.body, state, on_exit, context=fname)
         sp.set("paths", paths[0])

@@ -133,9 +133,10 @@ def _witness_external_invariant() -> bool:
         interact([], "MMIOWRITE", lit(0x10012008), lit(1))))}
     wide = MMIOSpec([(0x10012000, 0x10013000)])
     narrow = MMIOSpec([(0x20000000, 0x20001000)])
-    verify_function(prog, "f", FunctionSpec(), wide)
+    specs = {"f": FunctionSpec()}
+    verify_function(prog, "f", specs, wide)
     try:
-        verify_function(prog, "f", FunctionSpec(), narrow)
+        verify_function(prog, "f", specs, narrow)
     except VerificationError:
         return True
     return False

@@ -96,9 +96,9 @@ def _probe_one_assistant() -> str:
 
 
 def _probe_modularity() -> str:
-    from ..bedrock2.vcgen import Contract
+    from ..bedrock2.vcgen import FunctionSpec
     from ..compiler.codegen import ExtCallCompiler
-    return MET if Contract and ExtCallCompiler else NOT_MET
+    return MET if FunctionSpec and ExtCallCompiler else NOT_MET
 
 
 def _probe_standard_isa() -> str:

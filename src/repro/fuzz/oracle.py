@@ -252,10 +252,7 @@ def _run_machine(name: str, compiled, n_rets: int,
     loop or the fast-path engine); returns the outcome plus the final
     machine, kept for full-state comparison and for the retired
     instruction count (the step budget reference for both Kami layers)."""
-    dev = SyntheticDevice()
-    machine = RiscvMachine.with_program(compiled.image, base=0, pc=0,
-                                        mem_size=_MEM_SIZE, mmio_bus=dev,
-                                        fast=fast)
+    machine = _isa_machine(compiled, fast)
     machine.run(_MAX_MACHINE_STEPS, until_pc=compiled.halt_pc)
     if machine.pc != compiled.halt_pc:
         return (LayerOutcome(name, status="timeout",
@@ -268,6 +265,25 @@ def _run_machine(name: str, compiled, n_rets: int,
     return (LayerOutcome(name, rets=rets, scratch=scratch,
                          trace=list(machine.trace)),
             machine)
+
+
+def _isa_machine(compiled, fast: bool) -> RiscvMachine:
+    """The compiled binary loaded on the ISA machine, over a fresh device."""
+    return RiscvMachine.with_program(compiled.image, base=0, pc=0,
+                                     mem_size=_MEM_SIZE,
+                                     mmio_bus=SyntheticDevice(), fast=fast)
+
+
+def _isa_instret(compiled) -> int:
+    """Instructions the reference ISA machine retires on ``compiled``
+    before it halts, faults or reaches the step limit: the scale of both
+    Kami layers' step budgets when the "compiled" layer does not run."""
+    machine = _isa_machine(compiled, fast=False)
+    try:
+        machine.run(_MAX_MACHINE_STEPS, until_pc=compiled.halt_pc)
+    except RiscvUB:
+        pass
+    return machine.instret
 
 
 def _scratch_from_ram(ram: Sequence[int]) -> bytes:
@@ -413,10 +429,8 @@ def run_differential(program: Program,
         if record:
             return diverged(record)
 
-    need_binary = any(name in layers
-                      for name in ("binlint", "wcet", "compiled",
-                                   "kami-spec", "kami-pipelined"))
-    if not need_binary:
+    # Every layer after the two source-level ones runs the binary.
+    if not any(name in layers for name in LAYERS[2:]):
         return result
     try:
         compiled = compile_program(program, stack_top=_STACK_TOP)
@@ -465,7 +479,6 @@ def run_differential(program: Program,
                     % (depth, bounds["stack_bound"])}
         return None
 
-    ref_instret = 0
     ref_machine = None
     if "compiled" in layers:
         result["layers"].append("compiled")
@@ -476,7 +489,6 @@ def run_differential(program: Program,
         except RiscvUB as exc:
             return diverged({"layer": "compiled", "kind": "crash",
                              "detail": "RiscvUB: %s" % exc})
-        ref_instret = ref_machine.instret
         record = _compare(reference, machine_out)
         if record:
             return diverged(record)
@@ -511,6 +523,9 @@ def run_differential(program: Program,
         if record:
             return diverged(record)
 
+    if "kami-spec" in layers or "kami-pipelined" in layers:
+        ref_instret = (ref_machine.instret if ref_machine is not None
+                       else _isa_instret(compiled))
     if "kami-spec" in layers:
         result["layers"].append("kami-spec")
         spec_out = _timed("kami-spec",
@@ -587,7 +602,9 @@ def logic_crosscheck(program: Program, reference: LayerOutcome) -> dict:
             unroll_limit=64)
         executor.run(program["main"].body, state, lambda final: None,
                      context="fuzz-logic")
-    except Exception as exc:  # solver budget, path explosion: recorded
+    except Exception as exc:
+        # Recorded, not raised: a solver budget (`SolverTimeout`) or a
+        # `VerificationError` such as the unroll limit or an unowned access.
         out["errors"] += 1
         out["error_detail"] = "%s: %s" % (type(exc).__name__, exc)
         return out

@@ -5,7 +5,7 @@ application, this paper focuses on one specific example we call the
 verified IoT lightbulb." This module substantiates the "any simple
 application" claim: a door lock that toggles only when a UDP packet
 carries the correct 4-byte PIN -- reusing the SPI driver, the LAN9250
-driver, their contracts, and the platform models *unchanged* (the
+driver, their specs, and the platform models *unchanged* (the
 modularity dividend), with its own application logic and its own
 trace specification (`repro.sw.doorlock_spec`).
 

@@ -1,10 +1,13 @@
-"""Program-logic verification of the lightbulb software (paper Fig. 3,
-"verification conditions" / "program logic" layers).
+"""Program-logic verification of the lightbulb and door-lock software
+(paper Fig. 3, "verification conditions" / "program logic" layers).
 
-Each driver function is verified *modularly* against the Bedrock2 program
-logic (`repro.bedrock2.vcgen`): callees are summarized by `Contract`s, so
-re-verifying one function never revisits the others -- the paper's central
-modularity discipline. What is established per function:
+Each function is verified *modularly* against the Bedrock2 program logic
+(`repro.bedrock2.vcgen`). `SPECS` holds one `FunctionSpec` per function of
+both apps: a function's own verification proves its spec, and every call
+to it assumes that same spec, so re-verifying one function never revisits
+the others -- the paper's central modularity discipline -- and a caller
+assumes only what the callee's verification proved. What is established
+per function:
 
 * **memory safety**: every load/store provably lands inside an owned
   region and is aligned (the famous obligation here is ``lan9250_drain``'s
@@ -24,16 +27,14 @@ modularity discipline. What is established per function:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bedrock2.ast_ import Cmd, Function, Program, SIf, SSeq, SStackalloc, SWhile
 from ..bedrock2.extspec import MMIOSpec
 from ..bedrock2.vcgen import (
-    Contract,
     FunctionSpec,
     LoopSpec,
-    Region,
     SymEvent,
     TraceHole,
     VerificationError,
@@ -44,11 +45,8 @@ from ..logic import terms as T
 from ..logic.dispatch import parallel_call
 from ..platform.bus import MMIO_RANGES
 from . import constants as C
+from .doorlock import LOCK_PIN, doorlock_program
 from .program import lightbulb_program
-
-WORD0 = T.const(0)
-ZERO32 = T.const(0)
-ALLONES = T.const(0xFFFFFFFF)
 
 
 def platform_mmio_spec() -> MMIOSpec:
@@ -76,7 +74,7 @@ def attach_loop_specs(fn: Function, specs: List[LoopSpec]) -> Function:
     new_body = walk(fn.body)
     if remaining:
         raise ValueError("more loop specs than loops in %s" % fn.name)
-    return Function(fn.name, fn.params, fn.rets, new_body, spec=fn.spec)
+    return Function(fn.name, fn.params, fn.rets, new_body)
 
 
 # -- event filters (trace-shape obligations for polling loops) ----------------------
@@ -120,95 +118,15 @@ def call_hole_filter(*tags: str):
     return check
 
 
-# -- common postcondition helpers ----------------------------------------------------
+# -- facts ---------------------------------------------------------------------------
 
-def _assume_bool_flag(vc, state, term: T.Term) -> None:
-    state.assume(T.or_(T.eq(term, ZERO32), T.eq(term, ALLONES)))
-
-
-def _prove_bool_flag(vc, state, term: T.Term, ctx: str) -> None:
-    vc.prove(state, T.or_(T.eq(term, ZERO32), T.eq(term, ALLONES)), ctx)
+def _one_of(term: T.Term, *values: int) -> T.Term:
+    return T.or_(*[T.eq(term, T.const(v)) for v in values])
 
 
-# -- contracts (modular summaries) ------------------------------------------------------
-
-def make_contracts() -> Dict[str, Contract]:
-    def spi_write_post(vc, state, args, rets, ctx):
-        _assume_bool_flag(vc, state, rets[0])
-
-    def spi_read_post(vc, state, args, rets, ctx):
-        _assume_bool_flag(vc, state, rets[1])
-        state.assume(T.ule(rets[0], T.const(0xFF)))
-
-    def spi_xchg_post(vc, state, args, rets, ctx):
-        _assume_bool_flag(vc, state, rets[1])
-        state.assume(T.ule(rets[0], T.const(0xFF)))
-
-    def readword_post(vc, state, args, rets, ctx):
-        _assume_bool_flag(vc, state, rets[1])
-
-    def writeword_post(vc, state, args, rets, ctx):
-        _assume_bool_flag(vc, state, rets[0])
-
-    def drain_pre(vc, state, args, ctx):
-        # The caller must establish the famous bound: at most the buffer.
-        buf, n = args
-        region = state.regions.get("buf")
-        if region is None:
-            raise VerificationError(ctx, "no buffer region for drain")
-        vc.prove(state, T.eq(buf, region.base), ctx + "/buf-is-region")
-        vc.prove(state, T.ule(n, T.const(C.RX_BUFFER_BYTES)), ctx + "/fits")
-
-    def drain_post(vc, state, args, rets, ctx):
-        _assume_bool_flag(vc, state, rets[0])
-
-    def tryrecv_post(vc, state, args, rets, ctx):
-        num_bytes, err = rets
-        state.assume(T.ule(num_bytes, T.const(0x3FFF)))
-        state.assume(T.or_(T.eq(err, ZERO32),
-                           T.eq(err, T.const(C.ERR_OVERSIZE)),
-                           T.eq(err, ALLONES),
-                           T.eq(err, T.const(C.ERR_TIMEOUT))))
-
-    def init_post(vc, state, args, rets, ctx):
-        pass
-
-    def hole(tag):
-        return lambda args, rets: [TraceHole(tag)]
-
-    return {
-        "spi_write": Contract("spi_write", post=spi_write_post,
-                              trace_effect=hole("spi_write")),
-        "spi_read": Contract("spi_read", post=spi_read_post,
-                             trace_effect=hole("spi_read")),
-        "spi_xchg": Contract("spi_xchg", post=spi_xchg_post,
-                             trace_effect=hole("spi_xchg")),
-        "lan9250_readword": Contract("lan9250_readword", post=readword_post,
-                                     trace_effect=hole("lan9250_readword")),
-        "lan9250_writeword": Contract("lan9250_writeword", post=writeword_post,
-                                      trace_effect=hole("lan9250_writeword")),
-        "lan9250_wait_for_boot": Contract(
-            "lan9250_wait_for_boot",
-            post=lambda vc, state, args, rets, ctx:
-            _assume_bool_flag(vc, state, rets[0])
-            if False else state.assume(
-                T.or_(T.eq(rets[0], ZERO32), T.eq(rets[0], T.const(C.ERR_TIMEOUT)))),
-            trace_effect=hole("lan9250_wait_for_boot")),
-        "lan9250_init": Contract("lan9250_init", post=init_post,
-                                 trace_effect=hole("lan9250_init")),
-        "lan9250_drain": Contract("lan9250_drain", pre=drain_pre,
-                                  post=drain_post,
-                                  modified_regions=("buf",),
-                                  trace_effect=hole("lan9250_drain")),
-        "lan9250_tryrecv": Contract("lan9250_tryrecv", post=tryrecv_post,
-                                    modified_regions=("buf",),
-                                    trace_effect=hole("lan9250_tryrecv")),
-        "lightbulb_init": Contract("lightbulb_init", post=init_post,
-                                   trace_effect=hole("lightbulb_init")),
-        "lightbulb_loop": Contract("lightbulb_loop", post=init_post,
-                                   modified_regions=("buf",),
-                                   trace_effect=hole("lightbulb_loop")),
-    }
+def _flag(term: T.Term) -> T.Term:
+    """A ``busy``/``err`` flag: 0 or all-ones."""
+    return _one_of(term, 0, 0xFFFFFFFF)
 
 
 # -- per-function loop specs --------------------------------------------------------------
@@ -218,8 +136,7 @@ def spi_poll_loop_spec(register_addr: int, may_write: bool, tag: str,
     def invariant(state):
         conj = T.and_(
             T.ule(state.locals["i"], T.const(C.SPI_PATIENCE)),
-            T.or_(T.eq(state.locals["busy"], ZERO32),
-                  T.eq(state.locals["busy"], ALLONES)),
+            _flag(state.locals["busy"]),
         )
         if extra_inv is not None:
             conj = T.and_(conj, extra_inv(state))
@@ -233,10 +150,9 @@ def spi_poll_loop_spec(register_addr: int, may_write: bool, tag: str,
 
 def call_poll_loop_spec(err_values, tag: str, *hole_tags: str) -> LoopSpec:
     def invariant(state):
-        err = state.locals["err"]
         return T.and_(
             T.ule(state.locals["i"], T.const(C.BOOT_PATIENCE)),
-            T.or_(*[T.eq(err, T.const(v)) for v in err_values]),
+            _one_of(state.locals["err"], *err_values),
         )
 
     return LoopSpec(invariant=invariant,
@@ -250,9 +166,8 @@ def drain_loop_spec() -> LoopSpec:
         return T.and_(
             T.ule(state.locals["i"], state.locals["num_words"]),
             T.ule(state.locals["num_words"], T.const(C.RX_BUFFER_BYTES // 4)),
-            T.or_(T.eq(state.locals["err"], ZERO32),
-                  T.eq(state.locals["err"], ALLONES),
-                  T.eq(state.locals["err"], T.const(C.ERR_TIMEOUT))),
+            # Only a readword error ever lands in err.
+            _flag(state.locals["err"]),
         )
 
     return LoopSpec(invariant=invariant,
@@ -263,104 +178,122 @@ def drain_loop_spec() -> LoopSpec:
                     tag="drain")
 
 
-# -- function specifications ------------------------------------------------------------------
+# -- the one spec table -------------------------------------------------------------
 
-def buffer_pre(vc, state, args):
-    """args[0] is a word-aligned 1520-byte buffer the function owns."""
-    buf = args[0]
-    state.assume(T.eq(T.band(buf, T.const(3)), ZERO32))
-    state.assume(T.ule(buf, T.const(0xFFFFFFFF - C.RX_BUFFER_BYTES)))
-    state.regions["buf"] = Region(
-        "buf", buf, C.RX_BUFFER_BYTES,
-        [vc.fresh("buf_b%d" % i, 8) for i in range(C.RX_BUFFER_BYTES)])
-
-
-def spi_write_spec() -> FunctionSpec:
-    def post(vc, state, args, rets):
-        _prove_bool_flag(vc, state, rets[0], "spi_write/post-busy-flag")
-        for event in state.trace:
-            if isinstance(event, SymEvent):
-                if not _is_const(event.args[0], C.SPI_TXDATA_ADDR):
-                    raise VerificationError("spi_write/post",
-                                            "touched non-TXDATA address")
-
-    return FunctionSpec(post=post)
+def _only_txdata(vc, state, args, rets) -> None:
+    """``spi_write`` touches no MMIO register but TXDATA."""
+    for event in state.trace:
+        if isinstance(event, SymEvent):
+            if not _is_const(event.args[0], C.SPI_TXDATA_ADDR):
+                raise VerificationError("spi_write/post",
+                                        "touched non-TXDATA address")
 
 
-def spi_read_spec() -> FunctionSpec:
-    def post(vc, state, args, rets):
-        _prove_bool_flag(vc, state, rets[1], "spi_read/post-busy-flag")
-        vc.prove(state, T.ule(rets[0], T.const(0xFF)), "spi_read/post-byte")
+def _actuates_only(pin: int, ctx: str) -> Callable:
+    """Exit hook: every GPIO output the body writes is 0 or ``pin``'s bit."""
 
-    return FunctionSpec(post=post)
-
-
-def spi_xchg_spec() -> FunctionSpec:
-    def post(vc, state, args, rets):
-        _prove_bool_flag(vc, state, rets[1], "spi_xchg/post-busy-flag")
-        vc.prove(state, T.ule(rets[0], T.const(0xFF)), "spi_xchg/post-byte")
-
-    return FunctionSpec(post=post)
-
-
-def flag_ret_spec(index: int, allowed: List[int], name: str) -> FunctionSpec:
-    def post(vc, state, args, rets):
-        goal = T.or_(*[T.eq(rets[index], T.const(v)) for v in allowed])
-        vc.prove(state, goal, "%s/post-err" % name)
-
-    return FunctionSpec(post=post)
-
-
-def drain_spec() -> FunctionSpec:
-    def pre(vc, state, args):
-        buffer_pre(vc, state, args)
-        state.assume(T.ule(args[1], T.const(C.RX_BUFFER_BYTES)))
-
-    def post(vc, state, args, rets):
-        pass  # memory safety and loop totality are the content here
-
-    return FunctionSpec(pre=pre, post=post)
-
-
-def drain_spec_no_bound() -> FunctionSpec:
-    """The buggy scenario: caller forgot the length check, so ``n`` is only
-    bounded by the status-word field (0x3FFF). Verification must fail."""
-
-    def pre(vc, state, args):
-        buffer_pre(vc, state, args)
-        state.assume(T.ule(args[1], T.const(0x3FFF)))
-
-    return FunctionSpec(pre=pre)
-
-
-def tryrecv_spec(buggy: bool = False) -> FunctionSpec:
-    def pre(vc, state, args):
-        buffer_pre(vc, state, args)
-
-    def post(vc, state, args, rets):
-        num_bytes, err = rets
-        ok = T.eq(err, ZERO32)
-        fits = T.ule(num_bytes, T.const(C.RX_BUFFER_BYTES))
-        vc.prove(state, T.implies(ok, fits), "tryrecv/post-bound")
-
-    return FunctionSpec(pre=pre, post=post)
-
-
-def lightbulb_loop_spec() -> FunctionSpec:
-    def pre(vc, state, args):
-        buffer_pre(vc, state, args)
-
-    def post(vc, state, args, rets):
-        # The GPIO writes this function may emit are exactly bulb commands.
+    def check(vc, state, args, rets) -> None:
         for event in state.trace:
             if isinstance(event, SymEvent) and event.action == "MMIOWRITE":
                 if _is_const(event.args[0], C.GPIO_OUTPUT_VAL_ADDR):
-                    value = event.args[1]
-                    goal = T.or_(T.eq(value, ZERO32),
-                                 T.eq(value, T.const(1 << C.LIGHTBULB_PIN)))
-                    vc.prove(state, goal, "lightbulb_loop/post-bulb-value")
+                    vc.prove(state, _one_of(event.args[1], 0, 1 << pin), ctx)
 
-    return FunctionSpec(pre=pre, post=post)
+    return check
+
+
+def _byte_and_flag(args, rets) -> Dict[str, T.Term]:
+    return {"busy-flag": _flag(rets[1]),
+            "byte": T.ule(rets[0], T.const(0xFF))}
+
+
+def _tryrecv_post(args, rets) -> Dict[str, T.Term]:
+    num_bytes, err = rets
+    return {
+        "bound": T.implies(T.eq(err, T.const(0)),
+                           T.ule(num_bytes, T.const(C.RX_BUFFER_BYTES))),
+        "len": T.ule(num_bytes, T.const(0x3FFF)),
+        "err": _one_of(err, 0, C.ERR_OVERSIZE, 0xFFFFFFFF, C.ERR_TIMEOUT),
+    }
+
+
+#: Argument 0 is the base of the app's 1520-byte receive buffer.
+_RX_BUFFER = ((0, "buf", C.RX_BUFFER_BYTES),)
+
+#: The one specification of every function of both apps, and beside it
+#: the loop specs of its body (in preorder). A function's verification
+#: task proves its spec; every call to it, in either app, assumes it.
+_TABLE: Dict[str, Tuple[FunctionSpec, List[LoopSpec]]] = {
+    "spi_write": (
+        FunctionSpec(post=lambda args, rets: {"busy-flag": _flag(rets[0])},
+                     on_exit=_only_txdata),
+        [spi_poll_loop_spec(C.SPI_TXDATA_ADDR, may_write=True,
+                            tag="spi_write_poll")]),
+    "spi_read": (
+        FunctionSpec(post=_byte_and_flag),
+        [spi_poll_loop_spec(
+            C.SPI_RXDATA_ADDR, may_write=False, tag="spi_read_poll",
+            # The returned byte stays in range across iterations -- the
+            # invariant the first verification run showed was missing.
+            extra_inv=lambda state: T.ule(state.locals["b"], T.const(0xFF)))]),
+    "spi_xchg": (FunctionSpec(post=_byte_and_flag), []),
+    "lan9250_readword": (
+        FunctionSpec(post=lambda args, rets: {"err": _flag(rets[1])}), []),
+    "lan9250_writeword": (
+        FunctionSpec(post=lambda args, rets: {"err": _flag(rets[0])}), []),
+    "lan9250_wait_for_boot": (
+        FunctionSpec(post=lambda args, rets:
+                     {"err": _one_of(rets[0], 0, C.ERR_TIMEOUT)}),
+        [call_poll_loop_spec((0, C.ERR_TIMEOUT), "boot_poll",
+                             "lan9250_readword")]),
+    "lan9250_init": (
+        FunctionSpec(),
+        [call_poll_loop_spec((0, C.ERR_TIMEOUT), "hwcfg_poll",
+                             "lan9250_readword")]),
+    "lan9250_drain": (
+        FunctionSpec(
+            # The famous bound: the caller proves the frame fits.
+            pre=lambda args: {"fits": T.ule(args[1],
+                                            T.const(C.RX_BUFFER_BYTES))},
+            post=lambda args, rets: {"err": _flag(rets[0])},
+            buffers=_RX_BUFFER),
+        [drain_loop_spec()]),
+    "lan9250_tryrecv": (
+        FunctionSpec(post=_tryrecv_post, buffers=_RX_BUFFER), []),
+    "lightbulb_init": (FunctionSpec(), []),
+    "lightbulb_loop": (
+        FunctionSpec(buffers=_RX_BUFFER,
+                     on_exit=_actuates_only(C.LIGHTBULB_PIN,
+                                            "lightbulb_loop/post-bulb-value")),
+        []),
+    "doorlock_init": (FunctionSpec(), []),
+    "doorlock_loop": (
+        FunctionSpec(buffers=_RX_BUFFER,
+                     on_exit=_actuates_only(LOCK_PIN,
+                                            "doorlock_loop/post-lock-value")),
+        []),
+}
+
+SPECS: Dict[str, FunctionSpec] = {name: spec
+                                  for name, (spec, _) in _TABLE.items()}
+
+# Verification tasks, one per `SPECS` entry, in report order. Task names
+# (``"lightbulb:spi_write"``) are the picklable unit of work the parallel
+# dispatcher farms to workers: a worker resolves the name back through
+# `run_verify_task`, so nothing un-picklable (specs are closures) ever
+# crosses the process boundary. The drivers are verified once, in the
+# lightbulb build; the door lock proves only its own two functions.
+_DOORLOCK_OWN = ("doorlock_init", "doorlock_loop")
+LIGHTBULB_TASKS = tuple("lightbulb:" + name for name in SPECS
+                        if name not in _DOORLOCK_OWN)
+DOORLOCK_TASKS = tuple("doorlock:" + name for name in _DOORLOCK_OWN)
+_APPS = {"lightbulb": lightbulb_program, "doorlock": doorlock_program}
+
+
+def annotate(program: Program) -> Program:
+    """``program`` with the loop specs of `_TABLE` attached."""
+    return {name: attach_loop_specs(fn, _TABLE[name][1])
+            if name in _TABLE and _TABLE[name][1] else fn
+            for name, fn in program.items()}
 
 
 # -- the verification run -----------------------------------------------------------------------
@@ -391,95 +324,6 @@ class VerificationRun:
         return "\n".join(lines)
 
 
-def _annotated_program(buggy: bool = False) -> Program:
-    program = dict(lightbulb_program(buggy_driver=buggy))
-    program["spi_write"] = attach_loop_specs(
-        program["spi_write"],
-        [spi_poll_loop_spec(C.SPI_TXDATA_ADDR, may_write=True, tag="spi_write_poll")])
-    program["spi_read"] = attach_loop_specs(
-        program["spi_read"],
-        [spi_poll_loop_spec(
-            C.SPI_RXDATA_ADDR, may_write=False, tag="spi_read_poll",
-            # The returned byte stays in range across iterations -- the
-            # invariant the first verification run showed was missing.
-            extra_inv=lambda state: T.ule(state.locals["b"], T.const(0xFF)))])
-    program["lan9250_wait_for_boot"] = attach_loop_specs(
-        program["lan9250_wait_for_boot"],
-        [call_poll_loop_spec((0, C.ERR_TIMEOUT), "boot_poll",
-                             "lan9250_readword")])
-    program["lan9250_init"] = attach_loop_specs(
-        program["lan9250_init"],
-        [call_poll_loop_spec((0, C.ERR_TIMEOUT), "hwcfg_poll",
-                             "lan9250_readword")])
-    program["lan9250_drain"] = attach_loop_specs(
-        program["lan9250_drain"], [drain_loop_spec()])
-    return program
-
-
-# Ordered registries of independent verification tasks. Task names
-# (``"lightbulb:spi_write"``) are the picklable unit of work the parallel
-# dispatcher farms to workers: a worker resolves the name back through
-# `run_verify_task`, so nothing un-picklable (specs are closures) ever
-# crosses the process boundary.
-
-_LIGHTBULB_SPECS: Dict[str, Callable[[], FunctionSpec]] = {
-    "spi_write": spi_write_spec,
-    "spi_read": spi_read_spec,
-    "spi_xchg": spi_xchg_spec,
-    "lan9250_readword":
-        lambda: flag_ret_spec(1, [0, 0xFFFFFFFF], "lan9250_readword"),
-    "lan9250_writeword":
-        lambda: flag_ret_spec(0, [0, 0xFFFFFFFF], "lan9250_writeword"),
-    "lan9250_wait_for_boot":
-        lambda: flag_ret_spec(0, [0, C.ERR_TIMEOUT], "lan9250_wait_for_boot"),
-    "lan9250_init": FunctionSpec,
-    "lan9250_drain": drain_spec,
-    "lan9250_tryrecv": tryrecv_spec,
-    "lightbulb_init": FunctionSpec,
-    "lightbulb_loop": lightbulb_loop_spec,
-}
-
-
-def _lock_loop_spec() -> FunctionSpec:
-    from .doorlock import LOCK_PIN
-
-    def pre(vc, state, args):
-        buffer_pre(vc, state, args)
-
-    def post(vc, state, args, rets):
-        for event in state.trace:
-            if isinstance(event, SymEvent) and event.action == "MMIOWRITE":
-                if _is_const(event.args[0], C.GPIO_OUTPUT_VAL_ADDR):
-                    goal = T.or_(T.eq(event.args[1], ZERO32),
-                                 T.eq(event.args[1],
-                                      T.const(1 << LOCK_PIN)))
-                    vc.prove(state, goal, "doorlock_loop/post-lock-value")
-
-    return FunctionSpec(pre=pre, post=post)
-
-
-_DOORLOCK_SPECS: Dict[str, Callable[[], FunctionSpec]] = {
-    "doorlock_init": FunctionSpec,
-    "doorlock_loop": _lock_loop_spec,
-}
-
-LIGHTBULB_TASKS = tuple("lightbulb:" + name for name in _LIGHTBULB_SPECS)
-DOORLOCK_TASKS = tuple("doorlock:" + name for name in _DOORLOCK_SPECS)
-
-
-def _doorlock_annotated_program() -> Program:
-    """The door-lock app with the shared drivers carrying the same loop
-    annotations as in the lightbulb build."""
-    from .doorlock import doorlock_program
-
-    program = dict(doorlock_program())
-    annotated = _annotated_program()
-    for name in ("spi_write", "spi_read", "lan9250_wait_for_boot",
-                 "lan9250_init", "lan9250_drain"):
-        program[name] = annotated[name]
-    return program
-
-
 def run_verify_task(task: str, max_conflicts: int = 4_000_000,
                     prescreen: bool = True) -> VerifyReport:
     """Verify one function identified by task name (``app:function``).
@@ -494,21 +338,15 @@ def run_verify_task(task: str, max_conflicts: int = 4_000_000,
     before any solver query. It only ever proves valid goals, so the
     verdict is identical either way; only the solver workload changes.
     """
-    app, _, fname = task.partition(":")
-    if app == "lightbulb" and fname in _LIGHTBULB_SPECS:
-        program = _annotated_program()
-        spec = _LIGHTBULB_SPECS[fname]()
-    elif app == "doorlock" and fname in _DOORLOCK_SPECS:
-        program = _doorlock_annotated_program()
-        spec = _DOORLOCK_SPECS[fname]()
-    else:
+    if task not in LIGHTBULB_TASKS + DOORLOCK_TASKS:
         raise ValueError("unknown verification task %r" % task)
+    app, _, fname = task.partition(":")
+    program = annotate(_APPS[app]())
     hook = None
     if prescreen:
         from ..analysis.prescreen import Prescreener
         hook = Prescreener()
-    return verify_function(program, fname, spec, platform_mmio_spec(),
-                           contracts=make_contracts(),
+    return verify_function(program, fname, SPECS, platform_mmio_spec(),
                            max_conflicts=max_conflicts,
                            prescreen=hook)
 
@@ -539,8 +377,8 @@ def verify_all(max_conflicts: int = 4_000_000, jobs: int = 1,
 def verify_doorlock(max_conflicts: int = 4_000_000, jobs: int = 1,
                     cache=None, prescreen: bool = True) -> VerificationRun:
     """Verify the door-lock application's own functions, *reusing* the
-    driver contracts unchanged -- the modular-verification dividend: a new
-    app only proves its new code (paper section 2.1's motivation)."""
+    driver specs unchanged -- the modular-verification dividend: a new app
+    only proves its new code (paper section 2.1's motivation)."""
     return _run_tasks(DOORLOCK_TASKS, max_conflicts, jobs, cache,
                       prescreen=prescreen)
 
@@ -550,10 +388,9 @@ def verify_drain_buggy_fails(max_conflicts: int = 4_000_000) -> VerificationErro
     memory-safety obligation is falsifiable -- the paper's "unprovable Coq
     goal" that exposed the remote-code-execution bug. Returns the
     VerificationError (raises AssertionError if verification *succeeds*)."""
-    program = _annotated_program(buggy=True)
-    # In the buggy program the caller passes an unchecked length.
+    program = lightbulb_program(buggy_driver=True)
     program["lan9250_drain"] = attach_loop_specs(
-        lightbulb_program(buggy_driver=True)["lan9250_drain"],
+        program["lan9250_drain"],
         [LoopSpec(
             invariant=lambda state: T.and_(
                 T.ule(state.locals["i"], state.locals["num_words"]),
@@ -563,10 +400,15 @@ def verify_drain_buggy_fails(max_conflicts: int = 4_000_000) -> VerificationErro
             modified_regions=("buf",),
             event_filter=call_hole_filter("lan9250_readword"),
             tag="drain")])
+    # In the buggy program the caller passes an unchecked length, bounded
+    # only by the status word's 14-bit field.
+    specs = dict(SPECS)
+    specs["lan9250_drain"] = replace(
+        SPECS["lan9250_drain"],
+        pre=lambda args: {"status-field": T.ule(args[1], T.const(0x3FFF))})
     try:
-        verify_function(program, "lan9250_drain", drain_spec_no_bound(),
-                        platform_mmio_spec(), contracts=make_contracts(),
-                        max_conflicts=max_conflicts)
+        verify_function(program, "lan9250_drain", specs,
+                        platform_mmio_spec(), max_conflicts=max_conflicts)
     except VerificationError as err:
         return err
     raise AssertionError("buggy drain verified -- the bound check matters!")

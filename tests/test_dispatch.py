@@ -45,13 +45,12 @@ def test_vc_prove_records_timeout_in_report():
 
     prog = {"f": func("f", ("x",), ("r",), set_("r", var("x")))}
 
-    def post(vc, state, args, rets):
-        vc.prove(state, T.eq(rets[0], args[0]), "post/easy")
-        vc.prove(state, HARD_UNSAT_GOAL, "post/hard")
+    def post(args, rets):
+        return {"easy": T.eq(rets[0], args[0]), "hard": HARD_UNSAT_GOAL}
 
-    report = verify_function(prog, "f", FunctionSpec(post=post),
+    report = verify_function(prog, "f", {"f": FunctionSpec(post=post)},
                              MMIOSpec([]), max_conflicts=1)
-    assert report.timeouts == ("post/hard",)
+    assert report.timeouts == ("f/post-hard",)
     assert not report.ok
     assert report.obligations == 1  # the easy one still went through
     assert "TIMED OUT" in str(report)

@@ -92,7 +92,7 @@ def test_spec_rejects_unlock_without_authorized_frame():
 
 def test_doorlock_program_logic_verification():
     """Modular reuse: only the two new app functions need verifying; the
-    driver contracts are shared with the lightbulb."""
+    driver specs are shared with the lightbulb."""
     from repro.sw.verify import verify_doorlock
 
     run = verify_doorlock()

@@ -142,6 +142,19 @@ def test_static_layers_share_one_analysis_per_image(monkeypatch):
                                  for key in ("static_cycles", "stack_bound")}
 
 
+@pytest.mark.parametrize("layer", LAYERS[1:])
+def test_each_layer_alone_runs_and_agrees(layer):
+    """A one-layer run (the unit of a mutation x checker kill matrix)
+    runs exactly that layer, and on unmutated programs it agrees with the
+    reference: the Kami layers take their step budgets from an ISA run
+    even when the "compiled" layer is not selected."""
+    for seed in range(3):
+        result = run_differential(generate_program(seed),
+                                  layers=("interp", layer))
+        assert result["status"] == "ok", (seed, result)
+        assert result["layers"] == ["interp", layer]
+
+
 def test_wcet_layer_reports_an_analyzer_crash(monkeypatch):
     from repro.analysis import wcet
 

@@ -3,7 +3,7 @@ the trace specification, and the program-logic verification (paper §3, §5.1)."
 
 import pytest
 
-from repro.bedrock2.builder import call, var
+from repro.bedrock2.builder import block, call, lit, set_, var
 from repro.bedrock2.semantics import (
     Interpreter, Memory, State, to_mmio_triples,
 )
@@ -193,6 +193,115 @@ def test_buggy_driver_fails_verification():
     err = verify_drain_buggy_fails()
     # The failing obligation is the store into the buffer.
     assert "store" in err.context
+
+
+# -- one spec per function: a caller assumes only what the callee proves ----------
+
+def _rewrite(cmd, edit):
+    """``cmd`` with ``edit`` applied to every command reached through
+    sequences and conditionals (``edit`` returns None to recurse)."""
+    from dataclasses import replace
+
+    from repro.bedrock2.ast_ import SIf, SSeq
+
+    edited = edit(cmd)
+    if edited is not None:
+        return edited
+    if isinstance(cmd, SSeq):
+        return replace(cmd, first=_rewrite(cmd.first, edit),
+                       rest=_rewrite(cmd.rest, edit))
+    if isinstance(cmd, SIf):
+        return replace(cmd, then_=_rewrite(cmd.then_, edit),
+                       else_=_rewrite(cmd.else_, edit))
+    return cmd
+
+
+def _verify_edited(fname, edit):
+    """Verify ``fname`` of the lightbulb program after ``edit`` rewrote its
+    body; returns the VerificationError (fails if it verifies)."""
+    from dataclasses import replace
+
+    from repro.bedrock2.vcgen import VerificationError, verify_function
+    from repro.sw.verify import SPECS, annotate, platform_mmio_spec
+
+    program = lightbulb_program()
+    program[fname] = replace(program[fname],
+                             body=_rewrite(program[fname].body, edit))
+    with pytest.raises(VerificationError) as err:
+        verify_function(annotate(program), fname, SPECS,
+                        platform_mmio_spec())
+    return err.value
+
+
+def test_caller_passing_an_offset_buffer_is_rejected():
+    """``lan9250_tryrecv(buf + 4)`` would let the drain write 4 bytes past
+    the caller's 1520-byte buffer: the call must prove its argument is
+    the buffer's base."""
+    from repro.bedrock2.ast_ import SCall
+
+    def offset_call(cmd):
+        if isinstance(cmd, SCall) and cmd.func == "lan9250_tryrecv":
+            return call(cmd.binds, cmd.func, var("buf") + 4)
+        return None
+
+    err = _verify_edited("lightbulb_loop", offset_call)
+    assert err.context == "lightbulb_loop/call:lan9250_tryrecv/pre/buf-is-region"
+
+
+def test_drain_returning_an_unspecified_error_is_rejected():
+    """Every caller assumes ``err in {0, -1}`` after the drain, so the
+    drain itself must prove it."""
+    err = _verify_edited("lan9250_drain",
+                         lambda body: block(body, set_("err", lit(5))))
+    assert err.context == "lan9250_drain/post-err"
+
+
+def test_drain_post_is_proved_not_assumed(monkeypatch):
+    """With ``ERR_TIMEOUT`` back in the drain loop's invariant the
+    invariant no longer implies the post, and the drain's own task fails."""
+    from repro.bedrock2.ast_ import SWhile
+    from repro.bedrock2.vcgen import VerificationError
+    from repro.logic import terms as T
+    from repro.sw.verify import annotate, run_verify_task
+
+    loops = []
+
+    def collect(cmd):
+        if isinstance(cmd, SWhile):
+            loops.append(cmd.spec)
+
+    _rewrite(annotate(lightbulb_program())["lan9250_drain"].body, collect)
+    (loop,) = loops
+
+    def with_timeout(state):
+        # err may also be ERR_TIMEOUT, a value the drain never produces.
+        err = state.locals["err"]
+        return T.and_(
+            T.ule(state.locals["i"], state.locals["num_words"]),
+            T.ule(state.locals["num_words"], T.const(C.RX_BUFFER_BYTES // 4)),
+            T.or_(*[T.eq(err, T.const(v))
+                    for v in (0, 0xFFFFFFFF, C.ERR_TIMEOUT)]))
+
+    monkeypatch.setattr(loop, "invariant", with_timeout)
+    with pytest.raises(VerificationError) as err:
+        run_verify_task("lightbulb:lan9250_drain")
+    assert err.value.context == "lan9250_drain/post-err"
+    assert [value for name, value in err.value.model.items()
+            if name.startswith("err!")] == [C.ERR_TIMEOUT]
+
+
+def test_every_spec_is_a_verification_task():
+    """A call assumes its callee's spec, so every spec must be some task's
+    proof obligation: no fact is assumed that no task proves."""
+    from repro.sw.doorlock import doorlock_program
+    from repro.sw.verify import DOORLOCK_TASKS, LIGHTBULB_TASKS, SPECS
+
+    tasks = LIGHTBULB_TASKS + DOORLOCK_TASKS
+    assert sorted(task.partition(":")[2] for task in tasks) == sorted(SPECS)
+    programs = {"lightbulb": PROG, "doorlock": doorlock_program()}
+    for task in tasks:
+        app, _, fname = task.partition(":")
+        assert fname in programs[app], task
 
 
 def test_buggy_driver_overflows_at_source_level():

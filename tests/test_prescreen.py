@@ -140,9 +140,9 @@ def test_verify_function_accepts_prescreen_hook():
     fn = func("f", ["v"], [],
               block(set_("x", var("v") & 0xFF),
                     interact([], "MMIOWRITE", lit(gpio), var("x"))))
-    spec = FunctionSpec()
+    specs = {"f": FunctionSpec()}
     hook = Prescreener()
-    report = verify_function({"f": fn}, "f", spec,
+    report = verify_function({"f": fn}, "f", specs,
                              MMIOSpec([(0x1001_2000, 0x1001_3000)]),
                              prescreen=hook)
     assert report.ok
@@ -158,10 +158,10 @@ def test_verify_function_rejects_remainder_by_zero_index(prescreen):
               stackalloc("buf", 8,
                          store1(var("buf") + var("x").umod(var("y")), lit(0))))
 
-    def pre(vc, state, args):
-        state.assume(T.ult(args[0], T.const(101)))
-        state.assume(T.ult(args[1], T.const(6)))
+    def pre(args):
+        return {"x<101": T.ult(args[0], T.const(101)),
+                "y<6": T.ult(args[1], T.const(6))}
 
     with pytest.raises(VerificationError):
-        verify_function({"f": fn}, "f", FunctionSpec(pre=pre), MMIOSpec([]),
-                        prescreen=prescreen)
+        verify_function({"f": fn}, "f", {"f": FunctionSpec(pre=pre)},
+                        MMIOSpec([]), prescreen=prescreen)

@@ -184,27 +184,23 @@ def _small_program(k: int):
     }
 
 
-def _post_identity(vc, state, args, rets):
-    vc.prove(state, T.eq(rets[0], args[0]), "post")
-
-
-def _post_offset(k):
-    # ult (not eq) so the goal does not fold to TRUE at interning time:
-    # the solver must actually be queried for the property to exercise
-    # the cache.
-    def post(vc, state, args, rets):
-        vc.prove(state, T.ult(T.sub(rets[0], args[0]), T.const(k + 1)),
-                 "post")
-
-    return post
+def _specs(k):
+    """``f`` returns its argument; ``g`` returns it plus at most ``k``.
+    ult (not eq) so ``g``'s goal does not fold to TRUE at interning time:
+    the solver must actually be queried for the property to exercise the
+    cache."""
+    return {
+        "f": FunctionSpec(post=lambda args, rets:
+                          {"identity": T.eq(rets[0], args[0])}),
+        "g": FunctionSpec(post=lambda args, rets: {"offset": T.ult(
+            T.sub(rets[0], args[0]), T.const(k + 1))}),
+    }
 
 
 def _verify_both(cache, k):
     with S.cached(cache):
-        verify_function(_small_program(k), "f",
-                        FunctionSpec(post=_post_identity), MMIO)
-        verify_function(_small_program(k), "g",
-                        FunctionSpec(post=_post_offset(k)), MMIO)
+        verify_function(_small_program(k), "f", _specs(k), MMIO)
+        verify_function(_small_program(k), "g", _specs(k), MMIO)
 
 
 def test_mutating_one_function_invalidates_only_its_entries(tmp_path):
@@ -224,11 +220,9 @@ def test_mutating_one_function_invalidates_only_its_entries(tmp_path):
     hits, misses = HITS.value, MISSES.value
     with ProofCache(d) as cache:
         with S.cached(cache):
-            verify_function(_small_program(6), "f",
-                            FunctionSpec(post=_post_identity), MMIO)
+            verify_function(_small_program(6), "f", _specs(6), MMIO)
             f_misses = MISSES.value - misses
-            verify_function(_small_program(6), "g",
-                            FunctionSpec(post=_post_offset(6)), MMIO)
+            verify_function(_small_program(6), "g", _specs(6), MMIO)
             g_misses = MISSES.value - misses - f_misses
     assert f_misses == 0, "unchanged function f re-queried the solver"
     assert g_misses > 0, "mutated function g should re-verify"

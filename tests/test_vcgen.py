@@ -1,5 +1,5 @@
 """Unit tests for the program logic (vcgen): symbolic execution, loop
-invariants, contracts, memory regions, external-call obligations."""
+invariants, function specs, memory regions, external-call obligations."""
 
 import pytest
 
@@ -9,17 +9,19 @@ from repro.bedrock2.builder import (
 )
 from repro.bedrock2.extspec import MMIOSpec
 from repro.bedrock2.vcgen import (
-    Contract, FunctionSpec, LoopSpec, Region, SymEvent, TraceHole,
-    VerificationError, verify_function,
+    FunctionSpec, LoopSpec, SymEvent, TraceHole, VerificationError,
+    verify_function,
 )
 from repro.logic import terms as T
 
 MMIO = MMIOSpec([(0x10012000, 0x10013000), (0x10024000, 0x10025000)])
 
 
-def verify(prog, name, spec, contracts=None, **kwargs):
-    return verify_function(prog, name, spec, MMIO, contracts=contracts,
-                           **kwargs)
+def verify(prog, name, spec, specs=None, **kwargs):
+    """Verify ``prog[name]`` against ``spec``; ``specs`` holds the specs
+    of callees that are not inlined."""
+    return verify_function(prog, name, dict(specs or {}, **{name: spec}),
+                           MMIO, **kwargs)
 
 
 # -- straight-line functional verification -----------------------------------------
@@ -27,8 +29,8 @@ def verify(prog, name, spec, contracts=None, **kwargs):
 def test_verifies_arithmetic_identity():
     prog = {"f": func("f", ("x",), ("r",), set_("r", (var("x") + 1) - 1))}
 
-    def post(vc, state, args, rets):
-        vc.prove(state, T.eq(rets[0], args[0]), "post")
+    def post(args, rets):
+        return {"eq": T.eq(rets[0], args[0])}
 
     report = verify(prog, "f", FunctionSpec(post=post))
     assert report.paths == 1
@@ -37,8 +39,8 @@ def test_verifies_arithmetic_identity():
 def test_detects_wrong_postcondition():
     prog = {"f": func("f", ("x",), ("r",), set_("r", var("x") + 1))}
 
-    def post(vc, state, args, rets):
-        vc.prove(state, T.eq(rets[0], args[0]), "post")
+    def post(args, rets):
+        return {"eq": T.eq(rets[0], args[0])}
 
     with pytest.raises(VerificationError) as err:
         verify(prog, "f", FunctionSpec(post=post))
@@ -49,9 +51,9 @@ def test_branches_explored_both_ways():
     prog = {"f": func("f", ("x",), ("r",),
                       if_(var("x") < 10, set_("r", lit(1)), set_("r", lit(2))))}
 
-    def post(vc, state, args, rets):
-        vc.prove(state, T.or_(T.eq(rets[0], T.const(1)),
-                              T.eq(rets[0], T.const(2))), "post")
+    def post(args, rets):
+        return {"1-or-2": T.or_(T.eq(rets[0], T.const(1)),
+                                T.eq(rets[0], T.const(2)))}
 
     report = verify(prog, "f", FunctionSpec(post=post))
     assert report.paths == 2
@@ -85,15 +87,9 @@ def test_dead_arm_only_the_solver_sees_is_pruned():
 
 # -- memory ------------------------------------------------------------------------
 
-def region_pre(size=16):
-    def pre(vc, state, args):
-        buf = args[0]
-        state.assume(T.eq(T.band(buf, T.const(3)), T.const(0)))
-        state.assume(T.ule(buf, T.const(0xFFFFFFFF - size)))
-        state.regions["buf"] = Region("buf", buf, size,
-                                      [vc.fresh("b%d" % i, 8)
-                                       for i in range(size)])
-    return pre
+def region(size=16):
+    """Argument 0 is the base of an owned ``size``-byte buffer."""
+    return ((0, "buf", size),)
 
 
 def test_in_bounds_concrete_store_load():
@@ -101,31 +97,31 @@ def test_in_bounds_concrete_store_load():
         store4(var("p") + 4, lit(0xAABBCCDD)),
         set_("r", load4(var("p") + 4))))}
 
-    def post(vc, state, args, rets):
-        vc.prove(state, T.eq(rets[0], T.const(0xAABBCCDD)), "roundtrip")
+    def post(args, rets):
+        return {"roundtrip": T.eq(rets[0], T.const(0xAABBCCDD))}
 
-    verify(prog, "f", FunctionSpec(pre=region_pre(), post=post))
+    verify(prog, "f", FunctionSpec(buffers=region(), post=post))
 
 
 def test_out_of_bounds_store_rejected():
     prog = {"f": func("f", ("p",), (), store4(var("p") + 16, lit(1)))}
     with pytest.raises(VerificationError):
-        verify(prog, "f", FunctionSpec(pre=region_pre(16)))
+        verify(prog, "f", FunctionSpec(buffers=region(16)))
 
 
 def test_misaligned_store_rejected():
     prog = {"f": func("f", ("p",), (), store4(var("p") + 2, lit(1)))}
     with pytest.raises(VerificationError):
-        verify(prog, "f", FunctionSpec(pre=region_pre(16)))
+        verify(prog, "f", FunctionSpec(buffers=region(16)))
 
 
 def test_byte_access_any_offset():
     prog = {"f": func("f", ("p",), ("r",), set_("r", load1(var("p") + 15)))}
 
-    def post(vc, state, args, rets):
-        vc.prove(state, T.ule(rets[0], T.const(0xFF)), "byte range")
+    def post(args, rets):
+        return {"byte-range": T.ule(rets[0], T.const(0xFF))}
 
-    verify(prog, "f", FunctionSpec(pre=region_pre(16), post=post))
+    verify(prog, "f", FunctionSpec(buffers=region(16), post=post))
 
 
 def test_symbolic_offset_store_in_bounds():
@@ -133,18 +129,17 @@ def test_symbolic_offset_store_in_bounds():
     prog = {"f": func("f", ("p", "i"), (), store4(var("p") + (var("i") << 2),
                                                   lit(7)))}
 
-    def pre(vc, state, args):
-        region_pre(16)(vc, state, args)
-        state.assume(T.ult(args[1], T.const(4)))
+    def pre(args):
+        return {"i<4": T.ult(args[1], T.const(4))}
 
-    verify(prog, "f", FunctionSpec(pre=pre))
+    verify(prog, "f", FunctionSpec(pre=pre, buffers=region(16)))
 
 
 def test_symbolic_offset_store_unbounded_rejected():
     prog = {"f": func("f", ("p", "i"), (), store4(var("p") + (var("i") << 2),
                                                   lit(7)))}
     with pytest.raises(VerificationError):
-        verify(prog, "f", FunctionSpec(pre=region_pre(16)))
+        verify(prog, "f", FunctionSpec(buffers=region(16)))
 
 
 def test_stackalloc_region_scoped():
@@ -153,11 +148,13 @@ def test_stackalloc_region_scoped():
                                  set_("r", load4(var("p"))))),
     ))}
 
-    def post(vc, state, args, rets):
-        vc.prove(state, T.eq(rets[0], T.const(3)), "post")
+    def post(args, rets):
+        return {"eq": T.eq(rets[0], T.const(3))}
+
+    def deallocated(vc, state, args, rets):
         assert not state.regions  # deallocated at scope exit
 
-    verify(prog, "f", FunctionSpec(post=post))
+    verify(prog, "f", FunctionSpec(post=post, on_exit=deallocated))
 
 
 def test_use_after_stackalloc_scope_rejected():
@@ -192,13 +189,13 @@ def test_mmio_read_value_universally_quantified():
     prog = {"f": func("f", (), ("r",),
                       interact(["r"], "MMIOREAD", lit(0x10024048)))}
 
-    def post_any(vc, state, args, rets):
-        vc.prove(state, T.ule(rets[0], T.const(0xFFFFFFFF)), "trivial")
+    def post_any(args, rets):
+        return {"trivial": T.ule(rets[0], T.const(0xFFFFFFFF))}
 
     verify(prog, "f", FunctionSpec(post=post_any))
 
-    def post_specific(vc, state, args, rets):
-        vc.prove(state, T.eq(rets[0], T.const(7)), "specific")
+    def post_specific(args, rets):
+        return {"specific": T.eq(rets[0], T.const(7))}
 
     with pytest.raises(VerificationError):
         verify(prog, "f", FunctionSpec(post=post_specific))
@@ -209,7 +206,7 @@ def test_trace_records_symbolic_events():
         interact(["v"], "MMIOREAD", lit(0x10024048)),
         interact([], "MMIOWRITE", lit(0x1002404C), var("v"))))}
 
-    def post(vc, state, args, rets):
+    def check_trace(vc, state, args, rets):
         assert len(state.trace) == 2
         read, write = state.trace
         assert isinstance(read, SymEvent) and read.action == "MMIOREAD"
@@ -217,7 +214,7 @@ def test_trace_records_symbolic_events():
         # The written value IS the read value, symbolically.
         vc.prove(state, T.eq(write.args[1], read.rets[0]), "echo")
 
-    verify(prog, "f", FunctionSpec(post=post))
+    verify(prog, "f", FunctionSpec(on_exit=check_trace))
 
 
 # -- loops -------------------------------------------------------------------------------
@@ -237,11 +234,11 @@ def test_loop_with_invariant_and_measure():
             T.eq(st.locals["s"], st.locals["i"])),
         measure=lambda st: T.sub(st.locals["n"], st.locals["i"]))
 
-    def pre(vc, state, args):
-        state.assume(T.ult(args[0], T.const(1 << 30)))  # no wraparound
+    def pre(args):
+        return {"no-wrap": T.ult(args[0], T.const(1 << 30))}
 
-    def post(vc, state, args, rets):
-        vc.prove(state, T.eq(rets[0], args[0]), "sum equals n")
+    def post(args, rets):
+        return {"sum-equals-n": T.eq(rets[0], args[0])}
 
     verify(counting_loop(spec), "f", FunctionSpec(pre=pre, post=post))
 
@@ -292,8 +289,8 @@ def test_bounded_unrolling_without_spec():
         while_(var("i"), block(set_("s", var("s") + 2),
                                set_("i", var("i") - 1)))))}
 
-    def post(vc, state, args, rets):
-        vc.prove(state, T.eq(rets[0], T.const(8)), "unrolled sum")
+    def post(args, rets):
+        return {"unrolled-sum": T.eq(rets[0], T.const(8))}
 
     verify(prog, "f", FunctionSpec(post=post))
 
@@ -307,50 +304,68 @@ def test_unbounded_loop_without_spec_rejected():
     assert "unroll" in str(err.value)
 
 
-# -- contracts (modularity) -----------------------------------------------------------
+# -- function specs (modularity) -----------------------------------------------------
 
-def test_contract_replaces_callee():
+def test_spec_replaces_callee():
     prog = {
         "helper": func("helper", ("a",), ("b",), set_("b", var("a") + 1)),
         "f": func("f", ("x",), ("r",), call(("r",), "helper", var("x"))),
     }
-    contract = Contract(
-        "helper",
-        post=lambda vc, state, args, rets, ctx: state.assume(
-            T.eq(rets[0], T.add(args[0], T.const(1)))))
+    helper = FunctionSpec(
+        post=lambda args, rets: {"inc": T.eq(rets[0],
+                                             T.add(args[0], T.const(1)))})
 
-    def post(vc, state, args, rets):
-        vc.prove(state, T.eq(rets[0], T.add(args[0], T.const(1))), "post")
+    def post(args, rets):
+        return {"inc": T.eq(rets[0], T.add(args[0], T.const(1)))}
 
-    verify(prog, "f", FunctionSpec(post=post),
-           contracts={"helper": contract})
+    def summarized(vc, state, args, rets):
+        assert state.trace == [TraceHole("helper")]  # not inlined
+
+    verify(prog, "helper", helper)
+    verify(prog, "f", FunctionSpec(post=post, on_exit=summarized),
+           specs={"helper": helper})
 
 
-def test_contract_pre_obligation_at_call_site():
+def test_spec_pre_is_an_obligation_at_call_site():
     prog = {
         "helper": func("helper", ("a",), ("b",), set_("b", var("a"))),
         "f": func("f", ("x",), ("r",), call(("r",), "helper", var("x"))),
     }
-    contract = Contract(
-        "helper",
-        pre=lambda vc, state, args, ctx: vc.prove(
-            state, T.ult(args[0], T.const(10)), ctx + "/arg<10"))
-    with pytest.raises(VerificationError):
-        verify(prog, "f", FunctionSpec(), contracts={"helper": contract})
+    helper = FunctionSpec(
+        pre=lambda args: {"arg<10": T.ult(args[0], T.const(10))})
+    with pytest.raises(VerificationError) as err:
+        verify(prog, "f", FunctionSpec(), specs={"helper": helper})
+    assert err.value.context == "f/call:helper/pre/arg<10"
 
 
-def test_contract_trace_effect_appends_hole():
+def test_spec_call_appends_a_hole():
     prog = {
         "io": func("io", (), (), interact([], "MMIOWRITE", lit(0x10012008),
                                           lit(1))),
         "f": func("f", (), (), call((), "io")),
     }
-    contract = Contract("io", trace_effect=lambda args, rets: [TraceHole("io")])
 
-    def post(vc, state, args, rets):
+    def check_trace(vc, state, args, rets):
         assert state.trace == [TraceHole("io")]
 
-    verify(prog, "f", FunctionSpec(post=post), contracts={"io": contract})
+    verify(prog, "f", FunctionSpec(on_exit=check_trace),
+           specs={"io": FunctionSpec()})
+
+
+def test_spec_buffer_must_be_a_caller_region_of_its_size():
+    # fill owns 32 bytes and writes at offset 28: a caller that owns only
+    # 16 bytes must not be able to hand it its buffer.
+    prog = {
+        "fill": func("fill", ("p",), (), store4(var("p") + 28, lit(0))),
+        "f": func("f", ("p",), (), call((), "fill", var("p"))),
+    }
+    fill = FunctionSpec(buffers=region(32))
+    verify(prog, "fill", fill)
+    verify(prog, "f", FunctionSpec(buffers=region(32)), specs={"fill": fill})
+    with pytest.raises(VerificationError) as err:
+        verify(prog, "f", FunctionSpec(buffers=region(16)),
+               specs={"fill": fill})
+    assert err.value.context == "f/call:fill/pre/buf-is-region"
 
 
 def test_uncontracted_callee_is_inlined():
@@ -359,7 +374,7 @@ def test_uncontracted_callee_is_inlined():
         "f": func("f", (), ("r",), call(("r",), "sq", lit(5))),
     }
 
-    def post(vc, state, args, rets):
-        vc.prove(state, T.eq(rets[0], T.const(25)), "post")
+    def post(args, rets):
+        return {"eq": T.eq(rets[0], T.const(25))}
 
     verify(prog, "f", FunctionSpec(post=post))
