@@ -37,6 +37,7 @@ from .. import obs
 from ..logic import cache as C
 from ..logic import solver as S
 from ..logic import terms as T
+from ..logic.bitblast import BitBlaster
 from .ast_ import (
     Cmd,
     ELit,
@@ -287,8 +288,13 @@ def _own_region(state: SymState, name: str, base: T.Term, size: int,
 
 
 class VC:
-    """The verification-condition engine shared by a whole run: fresh-name
-    supply, obligation discharge, and statistics.
+    """The verification-condition engine of one function's verification:
+    fresh-name supply, obligation discharge, and statistics.
+
+    It owns one incremental `BitBlaster`, which every SAT-tier query of
+    the function (obligations and path-feasibility checks alike) extends
+    and solves on: a query blasts only the gates the function's earlier
+    queries did not, and keeps what their searches learned.
 
     A per-obligation SAT-budget exhaustion is a recorded ``timeout``
     status in the final report, not an exception that aborts the whole
@@ -316,6 +322,7 @@ class VC:
         #: ledger records attribute obligations to it.
         self.current_loc: Optional[tuple] = None
         self._ledger_seq = itertools.count()
+        self.blaster = BitBlaster()
         self.obligations_proved = 0
         self.assumptions_made = 0
         self.timeouts: List[str] = []
@@ -376,7 +383,8 @@ class VC:
         else:
             try:
                 result = S.check_valid(goal, hypotheses=state.path,
-                                       max_conflicts=self.max_conflicts)
+                                       max_conflicts=self.max_conflicts,
+                                       blaster=self.blaster)
             except S.SolverTimeout:
                 _OBLIGATION_SECONDS.record(time.perf_counter() - t0)
                 if led is not None:
@@ -603,7 +611,8 @@ class SymExec:
         witnesses.extend(m for m in reversed(self._recent) if m is not parent)
         witnesses.append({})
         result = S.is_satisfiable(path, max_conflicts=self.vc.max_conflicts,
-                                  witnesses=witnesses)
+                                  witnesses=witnesses,
+                                  blaster=self.vc.blaster)
         if not result.valid:
             return False
         state.model = result.model

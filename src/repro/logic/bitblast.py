@@ -4,11 +4,17 @@ Reduces the quantifier-free bitvector formulas produced by the program logic
 to propositional CNF via Tseitin encoding, for decision by the CDCL solver
 in `repro.logic.sat`. Each bitvector term maps to a list of literals (LSB
 first); each boolean term maps to a single literal.
+
+A `BitBlaster` is incremental: terms are blasted once and cached, so a
+later formula that shares subterms with earlier ones adds only its new
+gates to the same solver. The portfolio solver keeps one per verified
+function and decides each query under the literals of its conjuncts
+(`repro.logic.solver`), rather than asserting them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from . import terms as T
 from .sat import Solver
@@ -71,18 +77,66 @@ class BitBlaster:
         return out
 
     def _mux(self, sel: int, then: int, els: int) -> int:
-        if sel == self._true:
+        """``sel ? then : els``: one variable and six clauses (the last
+        two are implied, and help propagation), unless an input is a
+        constant or the branches coincide."""
+        t = self._true
+        if sel == t:
             return then
-        if sel == -self._true:
+        if sel == -t:
             return els
         if then == els:
             return then
-        return self._or2(self._and2(sel, then), self._and2(-sel, els))
+        if then == t:
+            return self._or2(sel, els)
+        if then == -t:
+            return self._and2(-sel, els)
+        if els == t:
+            return self._or2(-sel, then)
+        if els == -t:
+            return self._and2(sel, then)
+        out = self.solver.new_var()
+        add = self.solver.add_clause
+        add([-sel, -then, out])
+        add([-sel, then, -out])
+        add([sel, -els, out])
+        add([sel, els, -out])
+        add([-then, -els, out])
+        add([then, els, -out])
+        return out
+
+    def _majority(self, a: int, b: int, c: int) -> int:
+        """At least two of ``a``, ``b``, ``c`` (a full adder's carry): one
+        variable and six clauses, unless an input is a constant or two
+        inputs coincide."""
+        t = self._true
+        if a == b or a == c:
+            return a
+        if b == c:
+            return b
+        if a == -b:
+            return c
+        if a == -c:
+            return b
+        if b == -c:
+            return a
+        for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+            if x == t:
+                return self._or2(y, z)
+            if x == -t:
+                return self._and2(y, z)
+        out = self.solver.new_var()
+        add = self.solver.add_clause
+        add([-a, -b, out])
+        add([-a, -c, out])
+        add([-b, -c, out])
+        add([a, b, -out])
+        add([a, c, -out])
+        add([b, c, -out])
+        return out
 
     def _full_adder(self, a: int, b: int, cin: int) -> Tuple[int, int]:
-        s = self._xor2(self._xor2(a, b), cin)
-        cout = self._or2(self._and2(a, b), self._and2(cin, self._xor2(a, b)))
-        return s, cout
+        return self._xor2(self._xor2(a, b), cin), self._majority(a, b, cin)
 
     def _add_bits(self, a: List[int], b: List[int], cin: int) -> List[int]:
         out = []
@@ -276,15 +330,21 @@ class BitBlaster:
         self._bool_cache[t] = lit
         return lit
 
-    def assert_term(self, t: T.Term) -> None:
-        if t.sort != T.BOOL:
-            raise TypeError("asserted term must be boolean")
-        self.solver.add_clause([self.blast_bool(t)])
-
-    def extract_model(self, sat_model: Dict[int, bool]) -> Dict[str, int]:
-        """Map a SAT model back to term-level variable values."""
+    def extract_model(self, sat_model: Dict[int, bool],
+                      names: Iterable[Tuple[str, T.Sort]]) -> Dict[str, int]:
+        """Map a SAT model back to values of the term variables ``names``
+        (``(name, sort)`` pairs); names never blasted are left out."""
         model: Dict[str, int] = {}
-        for name, bits in self._var_bits.items():
+        for name, sort in names:
+            if sort == T.BOOL:
+                lit = self._bool_vars.get(name)
+                if lit is not None:
+                    bit = sat_model.get(abs(lit), False)
+                    model[name] = bit if lit > 0 else (not bit)
+                continue
+            bits = self._var_bits.get(name)
+            if bits is None:
+                continue
             value = 0
             for i, lit in enumerate(bits):
                 bit = sat_model.get(abs(lit), False)
@@ -293,7 +353,4 @@ class BitBlaster:
                 if bit:
                     value |= 1 << i
             model[name] = value
-        for name, lit in self._bool_vars.items():
-            bit = sat_model.get(abs(lit), False)
-            model[name] = bit if lit > 0 else (not bit)
         return model

@@ -43,7 +43,6 @@ import hashlib
 import json
 import os
 from typing import Dict, Iterable, List, Optional, Tuple
-from zlib import crc32
 
 from . import terms as T
 from .. import obs
@@ -64,50 +63,38 @@ POISONED = obs.counter("cache.poisoned")
 # Canonicalization
 
 
-#: Operators whose interned operand order depends on variable *names*
-#: (`terms.det_order`); fingerprinting re-sorts them name-blind so the
-#: digest is alpha-renaming-invariant.
-_COMMUTATIVE = frozenset({"add", "mul", "band", "bor", "bxor", "eq"})
+def _blind_key(node: T.Term) -> int:
+    return node._blind
 
 
-def _postorder(term: T.Term, args_of) -> List[T.Term]:
+def _postorder(term: T.Term) -> List[Tuple[T.Term, Tuple[T.Term, ...]]]:
     """Deterministic postorder of the term DAG (children before parents,
-    each shared node exactly once), visiting children in ``args_of`` order."""
-    post: List[T.Term] = []
+    each shared node exactly once), each node with its operands in the
+    order they are visited and serialized: a `terms.NAME_ORDERED`
+    operator's sorted by their name-blind hash (`terms.Term` computes it
+    when it interns a node), so the order is stable under alpha-renaming.
+    (Ties -- e.g. ``eq(x, y)`` of two bare variables -- keep the interned
+    order; alpha-equivalent formulas can then get distinct digests, which
+    costs a spurious cache miss but never an unsound hit.)"""
+    post: List[Tuple[T.Term, Tuple[T.Term, ...]]] = []
     seen = set()
-    stack: List[Tuple[T.Term, bool]] = [(term, False)]
+    stack: List[Tuple[T.Term, Optional[Tuple[T.Term, ...]]]] = [(term, None)]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            post.append(node)
+        node, args = stack.pop()
+        if args is not None:
+            post.append((node, args))
             continue
         if node in seen:
             continue
         seen.add(node)
-        stack.append((node, True))
-        for arg in reversed(args_of(node)):
+        args = node.args
+        if node.op in T.NAME_ORDERED:
+            args = tuple(sorted(args, key=_blind_key))
+        stack.append((node, args))
+        for arg in reversed(args):
             if arg not in seen:
-                stack.append((arg, False))
+                stack.append((arg, None))
     return post
-
-
-def _blind_hashes(term: T.Term) -> Dict[T.Term, int]:
-    """A name-blind structural hash per node: all variables hash alike, so
-    sorting commutative operands by it is stable under alpha-renaming.
-    (Ties -- e.g. ``eq(x, y)`` of two bare variables -- keep the interned
-    order; alpha-equivalent formulas can then get distinct digests, which
-    costs a spurious cache miss but never an unsound hit.)"""
-    blind: Dict[T.Term, int] = {}
-    for node in _postorder(term, lambda n: n.args):
-        attr = None if node.op == "var" else node.attr
-        h = crc32(("%s|%r|%r" % (node.op, attr, node.sort)).encode("utf-8"))
-        child = [blind[a] for a in node.args]
-        if node.op in _COMMUTATIVE:
-            child.sort()
-        for c in child:
-            h = crc32(b"%08x" % c, h)
-        blind[node] = h
-    return blind
 
 
 def fingerprint(term: T.Term) -> Tuple[str, Dict[str, str]]:
@@ -118,18 +105,10 @@ def fingerprint(term: T.Term) -> Tuple[str, Dict[str, str]]:
     original variable name to its canonical name (``v0``, ``v1``, ... in
     first-occurrence order of the deterministic traversal).
     """
-    blind = _blind_hashes(term)
-
-    def args_of(node: T.Term) -> Tuple[T.Term, ...]:
-        if node.op in _COMMUTATIVE:
-            return tuple(sorted(node.args, key=blind.__getitem__))
-        return node.args
-
-    post = _postorder(term, args_of)
     ids: Dict[T.Term, int] = {}
     varmap: Dict[str, str] = {}
     lines = ["repro-vc-v%d" % FORMAT_VERSION]
-    for index, node in enumerate(post):
+    for index, (node, args) in enumerate(_postorder(term)):
         ids[node] = index
         attr = node.attr
         if node.op == "var":
@@ -140,7 +119,7 @@ def fingerprint(term: T.Term) -> Tuple[str, Dict[str, str]]:
             attr = canon
         lines.append("%s|%r|%r|%s" % (
             node.op, attr, node.sort,
-            ",".join(str(ids[a]) for a in args_of(node))))
+            ",".join(str(ids[a]) for a in args)))
     blob = "\n".join(lines).encode("utf-8")
     return hashlib.sha256(blob).hexdigest(), varmap
 

@@ -7,49 +7,66 @@ conflict-driven clause learning loop with two-watched-literal propagation,
 first-UIP clause learning, VSIDS-style activity decision heuristics, and
 Luby restarts.
 
+It is incremental in MiniSat's style (Een and Sorensson, "An Extensible
+SAT-solver", SAT 2003): variables and clauses may be added between
+`Solver.solve` calls, and a call may pass *assumptions*, literals that
+take the first decision levels and hold for that call only. Learned
+clauses and variable activities carry over from one call to the next,
+so a caller that asks many related questions (the program logic asks
+one per obligation of a function) pays once for what they share.
+
 Literal convention: variables are positive integers ``1..n``; a literal is
 ``+v`` or ``-v``. Clauses are lists of literals.
 
-Search state lives in flat lists built when `Solver.solve` starts. Values
-and watch lists are indexed by literal, in lists of length ``2n + 1``:
-Python's negative indexing puts ``-v`` at ``2n + 1 - v``, so ``val[lit]``
-and ``val[-lit]`` need no encoding step. Decision level, reason clause and
-activity are indexed by variable. Decisions come from a binary heap of
-``(-activity, var)`` entries, whose minimum is the highest-activity,
-lowest-index unassigned variable. The differential tests
-(`tests/test_sat_search.py`) pin the search to a dict-based reference
-solver: same decisions, propagations, conflicts, restarts, learned
-clauses and model.
+Search state lives in flat lists kept from one solve to the next. Values
+and watch lists are indexed by literal, in lists of length ``2c + 1`` for
+a capacity of ``c >= n`` variables: Python's negative indexing puts
+``-v`` at ``2c + 1 - v``, so ``val[lit]`` and ``val[-lit]`` need no
+encoding step. Decision level, reason clause and activity are indexed by
+variable. The capacity at least doubles whenever new variables outgrow
+it. Decisions come from a binary heap of ``(-activity, var)`` entries,
+whose minimum is the highest-activity, lowest-index unassigned variable.
+The differential tests (`tests/test_sat_search.py`) pin a fresh solver's
+first solve to a dict-based reference solver (same decisions,
+propagations, conflicts, restarts, learned clauses and model), and check
+every later solve under assumptions against a fresh one-shot solve.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 SATISFIABLE = "sat"
 UNSATISFIABLE = "unsat"
 
 
 class Solver:
-    """Incremental-construction CDCL solver (solve-once usage pattern)."""
+    """Incremental CDCL solver: add variables and clauses, `solve`
+    (optionally under assumptions), add more, solve again."""
 
     def __init__(self):
         self.num_vars = 0
         self.clauses: List[List[int]] = []
         self._unsat = False
         self._var_inc = 1.0
-        # Search state, sized and filled by `solve`.
-        self._val: List[Optional[bool]] = []
-        self._watches: List[List[int]] = []
-        self._level: List[int] = []
-        self._reason: List[Optional[int]] = []
-        self._activity: List[float] = []
+        # Search state, kept from one `solve` to the next. ``_cap`` is the
+        # number of variables the lists below have room for; ``_known``
+        # variables and ``_attached`` clauses are already part of it.
+        self._cap = 0
+        self._known = 0
+        self._attached = 0
+        self._val: List[Optional[bool]] = [None]
+        self._watches: List[List[int]] = [[]]
+        self._level: List[int] = [0]
+        self._reason: List[Optional[int]] = [None]
+        self._activity: List[float] = [0.0]
         self._heap: List[tuple] = []
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._prop_head = 0
-        # Search statistics (read by repro.obs via the portfolio solver).
+        # Search statistics, cumulative over every solve (read by repro.obs
+        # via the portfolio solver, as per-query deltas).
         self.decisions = 0
         self.propagations = 0
         self.conflicts = 0
@@ -79,32 +96,55 @@ class Solver:
 
     # -- search state ---------------------------------------------------------
 
-    def _init_search(self) -> bool:
-        """Size the search state for ``num_vars``, watch the first two
-        literals of every clause, and assert the unit clauses at level 0.
-        False when the units contradict each other."""
+    def _grow(self) -> None:
+        """Make room for ``num_vars`` variables, at least doubling the
+        capacity. Positive literals keep their slots; the negative ones
+        move with the end of the list."""
+        old = self._cap
+        cap = max(self.num_vars, 2 * old)
+        pad = cap - old
+        self._val = self._val[:old + 1] + [None] * (2 * pad) + self._val[old + 1:]
+        self._watches = (self._watches[:old + 1]
+                         + [[] for _ in range(2 * pad)]
+                         + self._watches[old + 1:])
+        self._level.extend([0] * pad)
+        self._reason.extend([None] * pad)
+        self._activity.extend([0.0] * pad)
+        self._cap = cap
+
+    def _attach(self) -> bool:
+        """Bring the search state, backtracked to level 0, up to date with
+        the variables and clauses added since the last solve: new variables
+        join the decision heap, the first two literals of every new clause
+        are watched, and new unit clauses are asserted at level 0. The whole
+        level-0 trail is then propagated again, so a new clause whose
+        watched literals level 0 already falsified is seen. False when a
+        new unit contradicts level 0."""
         n = self.num_vars
-        self._val = val = [None] * (2 * n + 1)
-        self._watches = watches = [[] for _ in range(2 * n + 1)]
-        self._level = [0] * (n + 1)
-        self._reason = [None] * (n + 1)
-        self._activity = [0.0] * (n + 1)
-        self._heap = [(-0.0, v) for v in range(1, n + 1)]
-        self._trail = []
-        self._trail_lim = []
-        self._prop_head = 0
+        if n > self._cap:
+            self._grow()
+        # New variables have activity 0 and the highest indices, so their
+        # entries sort after every existing one and extend the heap as is.
+        self._heap.extend((-0.0, v) for v in range(self._known + 1, n + 1))
+        self._known = n
+        val = self._val
+        watches = self._watches
+        clauses = self.clauses
         units = []
-        for idx, clause in enumerate(self.clauses):
+        for idx in range(self._attached, len(clauses)):
+            clause = clauses[idx]
             if len(clause) == 1:
                 units.append(clause[0])
                 continue
             watches[-clause[0]].append(idx)
             watches[-clause[1]].append(idx)
+        self._attached = len(clauses)
         for lit in units:
             if val[lit] is False:
                 return False
             if val[lit] is None:
                 self._enqueue(lit, None)
+        self._prop_head = 0
         return True
 
     def _enqueue(self, lit: int, reason: Optional[int]) -> None:
@@ -176,7 +216,7 @@ class Solver:
         activity = self._activity
         activity[var] += self._var_inc
         if activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
+            for v in range(1, self._known + 1):
                 activity[v] *= 1e-100
             self._var_inc *= 1e-100
             self._rebuild_heap()
@@ -242,7 +282,7 @@ class Solver:
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._prop_head = min(self._prop_head, len(self._trail))
-        if len(heap) > 2 * self.num_vars:
+        if len(heap) > 2 * self._known:
             self._rebuild_heap()
 
     # -- decisions -----------------------------------------------------------
@@ -258,7 +298,7 @@ class Solver:
     def _rebuild_heap(self) -> None:
         val = self._val
         activity = self._activity
-        self._heap = [(-activity[v], v) for v in range(1, self.num_vars + 1)
+        self._heap = [(-activity[v], v) for v in range(1, self._known + 1)
                       if val[v] is None]
         heapify(self._heap)
 
@@ -273,11 +313,28 @@ class Solver:
 
     # -- main loop -----------------------------------------------------------
 
-    def solve(self, max_conflicts: Optional[int] = None) -> str:
+    def solve(self, max_conflicts: Optional[int] = None,
+              assumptions: Sequence[int] = ()) -> str:
+        """Decide the clauses added so far under ``assumptions``.
+
+        The assumptions are decided first, one per decision level, and
+        hold for this call only: "unsat" with assumptions says no model
+        extends them, and later calls are unaffected. Only a conflict at
+        level 0 leaves the solver unsat for good. ``max_conflicts`` bounds
+        this call's conflicts; past it `BudgetExceeded` is raised, and
+        the next call starts over from level 0 (keeping what was learned).
+        """
+        n = self.num_vars
+        for lit in assumptions:
+            if lit == 0 or lit > n or -lit > n:
+                raise ValueError("bad literal %d" % lit)
         if self._unsat:
             return UNSATISFIABLE
-        if not self._init_search():
+        self._backtrack(0)
+        if not self._attach():
+            self._unsat = True
             return UNSATISFIABLE
+        n_assumed = len(assumptions)
         conflicts = 0
         luby_unit = 64
         restart_limit = luby_unit * _luby(1)
@@ -292,12 +349,14 @@ class Solver:
                 if max_conflicts is not None and conflicts > max_conflicts:
                     raise BudgetExceeded(conflicts)
                 if not self._trail_lim:
+                    self._unsat = True
                     return UNSATISFIABLE
                 learned, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
                 self.clauses.append(learned)
                 self.learned += 1
                 ci = len(self.clauses) - 1
+                self._attached = ci + 1
                 if len(learned) > 1:
                     for lit in learned[:2]:
                         self._watches[-lit].append(ci)
@@ -309,13 +368,25 @@ class Solver:
                     self.restarts += 1
                     restart_limit = luby_unit * _luby(restart_index)
                     conflicts_since_restart = 0
-            else:
-                decision = self._decide()
-                if decision is None:
-                    return SATISFIABLE
+                continue
+            level = len(self._trail_lim)
+            if level < n_assumed:
+                # Decision level ``i + 1`` belongs to assumption ``i``; one
+                # that already holds gets an empty level.
+                lit = assumptions[level]
+                value = self._val[lit]
+                if value is False:
+                    return UNSATISFIABLE
                 self._trail_lim.append(len(self._trail))
-                self.decisions += 1
-                self._enqueue(decision, None)
+                if value is None:
+                    self._enqueue(lit, None)
+                continue
+            decision = self._decide()
+            if decision is None:
+                return SATISFIABLE
+            self._trail_lim.append(len(self._trail))
+            self.decisions += 1
+            self._enqueue(decision, None)
 
     def model(self) -> Dict[int, bool]:
         """The satisfying assignment (valid after ``solve() == "sat"``), in

@@ -11,7 +11,10 @@ is installed), the portfolio's tiers are:
    search. A witness can only ever answer "satisfiable";
 2. structural simplification (smart constructors already fold constants);
 3. unsigned interval analysis (`repro.logic.intervals`) as a cheap filter;
-4. bit-blasting to CNF + CDCL SAT (`repro.logic.bitblast`, `repro.logic.sat`).
+4. bit-blasting to CNF + CDCL SAT (`repro.logic.bitblast`, `repro.logic.sat`),
+   incremental: a caller may pass the `BitBlaster` of its earlier
+   queries, and the query is solved on it under the literals of its
+   conjuncts.
 
 The result of `prove` is either success or a concrete counterexample model,
 which is validated by evaluation before being reported (the solver never
@@ -86,14 +89,11 @@ def cached(cache):
 _TIERS = ("structural", "witness", "interval", "sat")
 _TIER_COUNTERS = {tier: obs.counter("solver.tier." + tier) for tier in _TIERS}
 _QUERIES = obs.counter("solver.queries")
-_SAT_DECISIONS = obs.counter("sat.decisions")
-_SAT_PROPAGATIONS = obs.counter("sat.propagations")
-_SAT_CONFLICTS = obs.counter("sat.conflicts")
-_SAT_RESTARTS = obs.counter("sat.restarts")
-_SAT_LEARNED = obs.counter("sat.learned_clauses")
-_CNF_VARS = obs.counter("bitblast.cnf_vars")
-_CNF_CLAUSES = obs.counter("bitblast.cnf_clauses")
-_CNF_CACHE_HITS = obs.counter("bitblast.cache_hits")
+#: The SAT tier's effort counters, in `_sat_effort` order.
+_SAT_EFFORT = tuple(obs.counter(name) for name in (
+    "sat.decisions", "sat.propagations", "sat.conflicts", "sat.restarts",
+    "sat.learned_clauses", "bitblast.cnf_vars", "bitblast.cnf_clauses",
+    "bitblast.cache_hits"))
 
 
 def tier_counts() -> Dict[str, int]:
@@ -103,17 +103,22 @@ def tier_counts() -> Dict[str, int]:
     return {tier: _TIER_COUNTERS[tier].value for tier in _TIERS}
 
 
-def _flush_sat_stats(blaster: BitBlaster) -> None:
-    """Batch one query's SAT search statistics into the registry."""
+def _sat_effort(blaster: BitBlaster) -> tuple:
+    """The cumulative effort of ``blaster`` and its solver, in
+    `_SAT_EFFORT` order."""
     solver = blaster.solver
-    _SAT_DECISIONS.inc(solver.decisions)
-    _SAT_PROPAGATIONS.inc(solver.propagations)
-    _SAT_CONFLICTS.inc(solver.conflicts)
-    _SAT_RESTARTS.inc(solver.restarts)
-    _SAT_LEARNED.inc(solver.learned)
-    _CNF_VARS.inc(solver.num_vars)
-    _CNF_CLAUSES.inc(len(solver.clauses) - solver.learned)
-    _CNF_CACHE_HITS.inc(blaster.cache_hits)
+    return (solver.decisions, solver.propagations, solver.conflicts,
+            solver.restarts, solver.learned, solver.num_vars,
+            len(solver.clauses) - solver.learned, blaster.cache_hits)
+
+
+def _flush_sat_stats(blaster: BitBlaster, before: tuple) -> int:
+    """Count one query's own SAT effort (the growth of ``blaster``'s
+    effort since ``before``) into the registry; returns its conflicts."""
+    delta = [now - then for now, then in zip(_sat_effort(blaster), before)]
+    for counter, amount in zip(_SAT_EFFORT, delta):
+        counter.inc(amount)
+    return delta[2]
 
 
 class Result:
@@ -154,7 +159,8 @@ def _replay_cached(entry, varmap: Dict[str, str], formula: T.Term,
 
 def check_valid(goal: T.Term, hypotheses: Iterable[T.Term] = (),
                 max_conflicts: int = 2_000_000,
-                witnesses: Sequence[Dict[str, int]] = ()) -> Result:
+                witnesses: Sequence[Dict[str, int]] = (),
+                blaster: Optional[BitBlaster] = None) -> Result:
     """Decide whether ``hypotheses |= goal``.
 
     Returns a `Result`; when invalid, ``result.model`` is a satisfying
@@ -165,6 +171,11 @@ def check_valid(goal: T.Term, hypotheses: Iterable[T.Term] = (),
     skip the decision procedure entirely. ``witnesses`` are candidate
     models tried next (see `_witness`); one that satisfies
     ``hypotheses & ~goal`` settles the query as invalid, with no search.
+
+    ``blaster`` is the incremental `BitBlaster` (and SAT solver) the SAT
+    tier extends and solves on; the program logic passes one per verified
+    function, so a query reuses the gates and learned clauses of the
+    function's earlier queries. Without one, the query gets a fresh one.
     """
     hyps: List[T.Term] = [h for h in hypotheses]
     _QUERIES.inc()
@@ -185,7 +196,8 @@ def check_valid(goal: T.Term, hypotheses: Iterable[T.Term] = (),
                     return result
                 cache.poison(digest)
             C.MISSES.inc()
-        result = _decide(formula, goal, hyps, max_conflicts, witnesses, sp)
+        result = _decide(formula, goal, hyps, max_conflicts, witnesses,
+                         blaster, sp)
         if cache is not None:
             canonical = None
             if result.model is not None:
@@ -198,7 +210,7 @@ def check_valid(goal: T.Term, hypotheses: Iterable[T.Term] = (),
 
 def _decide(formula: T.Term, goal: T.Term, hyps: List[T.Term],
             max_conflicts: int, witnesses: Sequence[Dict[str, int]],
-            sp) -> Result:
+            blaster: Optional[BitBlaster], sp) -> Result:
     """The decision portfolio (witness, structural, interval, SAT)."""
     if formula not in (T.TRUE, T.FALSE):
         if witnesses:
@@ -223,21 +235,27 @@ def _decide(formula: T.Term, goal: T.Term, hyps: List[T.Term],
         return Result(True)
     _TIER_COUNTERS["sat"].inc()
     sp.set("tier", "sat")
-    blaster = BitBlaster()
+    if blaster is None:
+        blaster = BitBlaster()
+    before = _sat_effort(blaster)
+    # Each top-level conjunct is blasted once per blaster and assumed,
+    # not asserted, so the solver stays usable for the next query.
+    conjuncts = formula.args if formula.op == "and" else (formula,)
     with obs.span("solver.bitblast", cat="solver"):
-        blaster.assert_term(formula)
+        assumptions = [blaster.blast_bool(c) for c in conjuncts]
     try:
         with obs.span("solver.sat", cat="solver"):
-            outcome = blaster.solver.solve(max_conflicts=max_conflicts)
+            outcome = blaster.solver.solve(max_conflicts=max_conflicts,
+                                           assumptions=assumptions)
     except BudgetExceeded as exc:
-        _flush_sat_stats(blaster)
+        _flush_sat_stats(blaster, before)
         raise SolverTimeout("SAT budget exceeded (%s conflicts)"
                             % exc) from exc
-    _flush_sat_stats(blaster)
-    sp.set("conflicts", blaster.solver.conflicts)
+    sp.set("conflicts", _flush_sat_stats(blaster, before))
     if outcome != SATISFIABLE:
         return Result(True)
-    model = blaster.extract_model(blaster.solver.model())
+    model = blaster.extract_model(blaster.solver.model(),
+                                  T.free_vars(formula))
     _complete_model(model, _free_vars(goal, hyps))
     # Sanity: the countermodel must actually falsify the implication.
     assert T.evaluate(formula, model), "bit-blaster returned a bogus model"
@@ -253,14 +271,16 @@ def prove(goal: T.Term, hypotheses: Iterable[T.Term] = (),
 
 
 def is_satisfiable(formula: T.Term, max_conflicts: int = 2_000_000,
-                   witnesses: Sequence[Dict[str, int]] = ()) -> Result:
+                   witnesses: Sequence[Dict[str, int]] = (),
+                   blaster: Optional[BitBlaster] = None) -> Result:
     """Decide satisfiability of ``formula``; model returned if sat.
 
-    ``witnesses`` are candidate models to try before any search (see
-    `check_valid`): the first one that makes ``formula`` true, once
+    ``witnesses`` are candidate models to try before any search, and
+    ``blaster`` is the SAT tier's incremental blaster (see
+    `check_valid`): the first witness that makes ``formula`` true, once
     completed, is the returned model."""
     inverse = check_valid(T.not_(formula), max_conflicts=max_conflicts,
-                          witnesses=witnesses)
+                          witnesses=witnesses, blaster=blaster)
     if inverse.valid:
         return Result(False)
     return Result(True, inverse.model)

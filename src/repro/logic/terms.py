@@ -37,20 +37,42 @@ BV8 = bv_sort(8)
 _INTERN: Dict[tuple, "Term"] = {}
 
 
-def _det_hash(op: str, args: Tuple["Term", ...], attr, sort: Sort) -> int:
-    """A deterministic structural hash, stable across processes and runs.
+#: Operators whose interned operand order `det_order` decides, so that it
+#: depends on variable names: the commutative bitvector operators and
+#: `eq`. The name-blind hash sorts their operands instead.
+NAME_ORDERED = frozenset({"add", "mul", "band", "bor", "bxor", "eq"})
+
+
+def _det_hashes(op: str, args: Tuple["Term", ...], attr,
+                sort: Sort) -> Tuple[int, int]:
+    """Two deterministic structural hashes, stable across processes and
+    runs: ``(det, blind)``.
 
     ``hash()``/``id()`` vary with interpreter address layout and string-hash
     randomization, so anything derived from them (e.g. the argument order of
     commutative operators) would differ between a parent and its worker
     processes. The proof cache fingerprints and the parallel dispatcher both
-    need term structure to be reproducible, so ordering decisions use this
-    CRC-based hash instead.
+    need term structure to be reproducible, so ordering decisions use the
+    CRC-based ``det`` instead.
+
+    ``blind`` ignores variable names (all variables of a sort hash alike)
+    and the operand order of `NAME_ORDERED` operators, so it is invariant
+    under alpha-renaming: the proof cache (`repro.logic.cache`) orders
+    those operands by it when it fingerprints a formula.
     """
-    h = crc32(("%s|%r|%r" % (op, attr, sort)).encode("utf-8"))
+    head = crc32(("%s|%r|%r" % (op, attr, sort)).encode("utf-8"))
+    det = head
     for a in args:
-        h = crc32(b"%08x" % a._det, h)
-    return h
+        det = crc32(b"%08x" % a._det, det)
+    if op == "var":
+        return det, crc32(("var|None|%r" % (sort,)).encode("utf-8"))
+    blind = head
+    children = [a._blind for a in args]
+    if op in NAME_ORDERED:
+        children.sort()
+    for c in children:
+        blind = crc32(b"%08x" % c, blind)
+    return det, blind
 
 
 def _struct_key(t: "Term", _memo: Optional[Dict] = None) -> tuple:
@@ -83,7 +105,7 @@ class Term:
     Equality is identity thanks to interning.
     """
 
-    __slots__ = ("op", "args", "attr", "sort", "_hash", "_det")
+    __slots__ = ("op", "args", "attr", "sort", "_hash", "_det", "_blind")
 
     def __new__(cls, op: str, args: Tuple["Term", ...], attr, sort: Sort):
         key = (op, args, attr, sort)
@@ -96,7 +118,7 @@ class Term:
         self.attr = attr
         self.sort = sort
         self._hash = hash(key)
-        self._det = _det_hash(op, args, attr, sort)
+        self._det, self._blind = _det_hashes(op, args, attr, sort)
         _INTERN[key] = self
         return self
 
@@ -193,7 +215,8 @@ def bool_const(value: bool) -> Term:
 # ---------------------------------------------------------------------------
 # Bitvector operations
 
-_COMMUTATIVE = {"add", "mul", "band", "bor", "bxor"}
+#: Normalized by `bv_binop` to a canonical operand order.
+_COMMUTATIVE = NAME_ORDERED - {"eq"}
 
 
 def _binop_const(op: str, a: int, b: int, width: int) -> int:

@@ -60,16 +60,23 @@ def attach_loop_specs(fn: Function, specs: List[LoopSpec]) -> Function:
     remaining = list(specs)
 
     def walk(c: Cmd) -> Cmd:
+        new: Cmd
         if isinstance(c, SWhile):
             spec = remaining.pop(0) if remaining else None
-            return SWhile(c.cond, walk(c.body), spec=spec)
-        if isinstance(c, SSeq):
-            return SSeq(walk(c.first), walk(c.rest))
-        if isinstance(c, SIf):
-            return SIf(c.cond, walk(c.then_), walk(c.else_))
-        if isinstance(c, SStackalloc):
-            return SStackalloc(c.name, c.nbytes, walk(c.body))
-        return c
+            new = SWhile(c.cond, walk(c.body), spec=spec)
+        elif isinstance(c, SSeq):
+            new = SSeq(walk(c.first), walk(c.rest))
+        elif isinstance(c, SIf):
+            new = SIf(c.cond, walk(c.then_), walk(c.else_))
+        elif isinstance(c, SStackalloc):
+            new = SStackalloc(c.name, c.nbytes, walk(c.body))
+        else:
+            return c
+        # Keep the eDSL source stamp (`repro.bedrock2.builder._mark`), so
+        # the obligations raised at a rebuilt node still name its line.
+        if hasattr(c, "loc"):
+            object.__setattr__(new, "loc", c.loc)
+        return new
 
     new_body = walk(fn.body)
     if remaining:

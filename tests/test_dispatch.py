@@ -85,6 +85,22 @@ def test_parallel_and_sequential_produce_identical_cache_files(tmp_path):
     assert seq == par
 
 
+def test_verify_cache_files_identical_at_any_jobs(tmp_path):
+    # `repro verify`'s shape: both apps into one cache. At jobs=1 most
+    # cache hits of a cold run are entries another function stored (the
+    # door lock reuses lightbulb's), while a worker at jobs=3 decides
+    # them itself on its function's incremental solver. The models it
+    # stores must not depend on which of the two happened.
+    lines = {}
+    for jobs in (1, 3):
+        d = str(tmp_path / ("j%d" % jobs))
+        with ProofCache(d) as cache:
+            verify_all(jobs=jobs, cache=cache)
+            verify_doorlock(jobs=jobs, cache=cache)
+        lines[jobs] = sorted(open(d + "/proofs.jsonl").read().splitlines())
+    assert lines[1] == lines[3]
+
+
 def test_parallel_workers_start_warm_from_parent_cache(tmp_path):
     from repro.logic.cache import HITS
 

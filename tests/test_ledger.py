@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.obs.ledger import Ledger, load_jsonl
-from repro.sw.verify import verify_all, verify_doorlock
+from repro.sw.verify import run_verify_task, verify_all, verify_doorlock
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +99,18 @@ def test_doorlock_records_are_fully_populated():
     for fname in ("doorlock_init", "doorlock_loop"):
         seqs = [r["seq"] for r in records if r["function"] == fname]
         assert seqs == list(range(len(seqs)))
+
+
+def test_loop_obligations_name_the_loop_line():
+    # Attaching loop specs rebuilds the loop's AST nodes; the rebuilt
+    # `while_` keeps its eDSL source stamp, so its invariant's entry
+    # obligation names that line, not the statement before it.
+    obs.enable()
+    obs.enable_ledger()
+    run_verify_task("lightbulb:spi_write")
+    locs = {r["context"]: r["loc"] for r in obs.ledger().records}
+    assert locs["spi_write/while[spi_write_poll]/inv-init"] == \
+        "repro/sw/spi_driver.py:31"
 
 
 def test_prescreen_discharges_are_attributed():

@@ -53,6 +53,34 @@ def test_fingerprint_distinguishes_different_formulas():
     assert len({d1, d2, d3}) == 3
 
 
+def test_fingerprints_are_pinned():
+    # Cache keys outlive the code that made them: an on-disk cache is
+    # only warm if the same formula gets the same digest in the next
+    # release. These three cover the operand orders the fingerprint
+    # chooses: an `eq` of two compound operands (whose interned order
+    # differs from the name-blind one it is sorted into), an `add` whose
+    # operands tie name-blind (interned order kept), and an `ite` on that
+    # `eq` inside an `add` (the `eq`'s name-blind hash, taken over its
+    # sorted operands, decides the order of the `add`'s).
+    a, b, x, y = T.var("a"), T.var("b"), T.var("x"), T.var("y")
+    cond = T.eq(T.add(a, T.const(4)), T.band(b, T.const(0xFF)))
+    pinned = [
+        (cond,
+         "08dd2779d493ef9f855848ce103bef36848190ad9c04efe3de5c716c593b97c9",
+         {"b": "v0", "a": "v1"}),
+        (T.ult(T.add(T.mul(x, T.const(3)), T.mul(y, T.const(3))),
+               T.const(100)),
+         "6003df3d4852369765cd9c122d9379e02369ecaa3ea708b62288aa00966a0ff2",
+         {"y": "v0", "x": "v1"}),
+        (T.ult(T.add(T.ite(cond, a, b), T.mul(b, T.const(11))),
+               T.const(16)),
+         "3b1c211a6c40b7e18241e3e50f4424647b4e84c48c23b828a437c54856018a9d",
+         {"b": "v0", "a": "v1"}),
+    ]
+    for formula, digest, varmap in pinned:
+        assert fingerprint(formula) == (digest, varmap)
+
+
 def test_terms_pickle_through_interning():
     import pickle
 

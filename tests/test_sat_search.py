@@ -1,18 +1,25 @@
-"""The CDCL kernel against the dict-based solver it replaced.
+"""The CDCL kernel against the dict-based solver it replaced, and its
+incremental solves against one-shot ones.
 
 `ReferenceSolver` is the solver `repro.logic.sat` shipped before its
 search state moved to flat, literal-indexed lists and a decision heap.
 It is kept here, unedited but for its name and imports, as the
-reference: the array-backed `sat.Solver` must make exactly the same
-decisions, propagations, conflicts, restarts and learned clauses, and
-return the same model, so the SAT effort the verification ledger records
-per obligation does not move.
+reference: the first solve of a fresh array-backed `sat.Solver` must
+make exactly the same decisions, propagations, conflicts, restarts and
+learned clauses, and return the same model.
 
-The shipped verification conditions never reach the activity rescale
-(their largest solve has 164 conflicts; the rescale needs about 4,400
-from the initial increment), so one test starts both solvers at
-``_var_inc = 1e99`` to run the rescale and the heap rebuild within a
-second.
+Later solves are incremental: variables and clauses arrive between
+them, each may pass assumptions, and learned clauses and activities
+carry over. Their verdicts are checked against a fresh one-shot solve
+with the assumptions as unit clauses, and their models against every
+clause and assumption.
+
+The shipped verification conditions never reach the activity rescale:
+activities carry over between the solves of one function's solver, and
+the busiest one (``lan9250_drain``'s) reaches 211 conflicts over all its
+solves, while the rescale needs about 4,400 from the initial increment.
+So one test starts both solvers at ``_var_inc = 1e99`` to run the
+rescale and the heap rebuild within a second.
 """
 
 import random
@@ -418,3 +425,110 @@ def test_trivial_instances_match():
     assert sat.solve_cnf(1, [[]])[0] == UNSATISFIABLE
     with pytest.raises(ValueError):
         sat.Solver().add_clause([1])
+
+
+# -- incremental solving under assumptions -----------------------------------
+
+
+def _satisfies(model: Dict[int, bool], clauses: List[List[int]]) -> bool:
+    return all(any(model[abs(lit)] == (lit > 0) for lit in clause)
+               for clause in clauses)
+
+
+def test_incremental_solves_match_one_shot_solves():
+    # One solver per seed takes new variables and clauses between
+    # solves, each solve under random assumptions and sometimes a tiny
+    # conflict budget. Every verdict must equal a fresh solver's on the
+    # clauses so far plus the assumptions as units.
+    outcomes = {SATISFIABLE: 0, UNSATISFIABLE: 0}
+    failed_assumptions = budget_stops = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        solver = sat.Solver()
+        clauses: List[List[int]] = []
+        num_vars = 0
+        for _ in range(rng.randint(3, 7)):
+            for _ in range(rng.randint(0, 12)):
+                solver.new_var()
+                num_vars += 1
+            if num_vars == 0:
+                continue
+            target = int(num_vars * rng.uniform(2.0, 4.0))
+            batch = _random_cnf(rng, num_vars, max(0, target - len(clauses)))
+            for clause in batch:
+                solver.add_clause(clause)
+            clauses.extend(batch)
+            assumptions = [rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                           for _ in range(rng.randint(0, 4))]
+            budget = rng.choice((None, None, None, 1, 3))
+            try:
+                outcome = solver.solve(max_conflicts=budget,
+                                       assumptions=assumptions)
+            except BudgetExceeded:
+                budget_stops += 1
+                continue
+            expected, _ = sat.solve_cnf(
+                num_vars, clauses + [[lit] for lit in assumptions])
+            assert outcome == expected, (seed, assumptions)
+            outcomes[outcome] += 1
+            if outcome == SATISFIABLE:
+                model = solver.model()
+                assert _satisfies(model, clauses), seed
+                assert all(model[abs(lit)] == (lit > 0)
+                           for lit in assumptions), seed
+            elif sat.solve_cnf(num_vars, clauses)[0] == SATISFIABLE:
+                failed_assumptions += 1
+    assert outcomes[SATISFIABLE] > 500 and outcomes[UNSATISFIABLE] > 500
+    assert failed_assumptions > 200 and budget_stops > 50
+
+
+def test_failed_assumption_leaves_the_solver_usable():
+    solver = _load(sat.Solver, 3, [[1, 2], [-1, 3]])
+    assert solver.solve(assumptions=[1, -3]) == UNSATISFIABLE
+    assert solver.solve(assumptions=[-2]) == SATISFIABLE
+    model = solver.model()
+    assert model[1] and model[3] and not model[2]
+    # A level-0 contradiction, by contrast, is final.
+    solver.add_clause([-1])
+    solver.add_clause([-2])
+    assert solver.solve() == UNSATISFIABLE
+    solver.new_var()
+    solver.add_clause([4])
+    assert solver.solve(assumptions=[4]) == UNSATISFIABLE
+
+
+def test_clause_falsified_at_level_0_is_seen_by_a_later_solve():
+    # Both watched literals of the new clause are false at level 0 and
+    # its third literal is free: the re-propagated level-0 trail must
+    # move a watch and force the free literal.
+    solver = _load(sat.Solver, 3, [[-1], [-2]])
+    assert solver.solve() == SATISFIABLE
+    solver.add_clause([1, 2, 3])
+    assert solver.solve(assumptions=[-3]) == UNSATISFIABLE
+    assert solver.solve() == SATISFIABLE
+    assert solver.model()[3] is True
+
+
+def test_budget_exceeded_mid_search_leaves_the_solver_usable():
+    num_vars, clauses = _pigeonhole(7, 6)
+    solver = _load(sat.Solver, num_vars, clauses)
+    with pytest.raises(BudgetExceeded):
+        solver.solve(max_conflicts=20)
+    assert solver._trail_lim  # stopped above level 0
+    # The pigeonhole constraints hold under any assumption; the learned
+    # clauses carry over, and the next solve still proves unsat.
+    assert solver.solve(assumptions=[1]) == UNSATISFIABLE
+    assert solver.solve() == UNSATISFIABLE
+
+
+def test_capacity_grows_by_doubling():
+    solver = _load(sat.Solver, 3, [[1, 2, 3]])
+    assert solver.solve(assumptions=[-1, -2]) == SATISFIABLE
+    assert solver._cap == 3
+    for _ in range(2):
+        solver.new_var()
+    solver.add_clause([-3, 5])
+    assert solver.solve(assumptions=[-1, -2, -5]) == UNSATISFIABLE
+    assert solver._cap == 6 and len(solver._val) == 13
+    assert solver.solve(assumptions=[-1, -2]) == SATISFIABLE
+    assert solver.model()[5] is True
