@@ -905,15 +905,13 @@ def translation_validate(program: object, compiled: "_Compiled",
 
 
 def lint_binary_program(program: object, compiled: "_Compiled",
-                        config: BinaryLintConfig,
-                        translation: bool = True) -> List[Diagnostic]:
-    """The full binary lint: abstract-interpretation checks plus (when
-    ``translation``) translation validation against the source."""
+                        config: BinaryLintConfig) -> List[Diagnostic]:
+    """The full binary lint: abstract-interpretation checks plus
+    translation validation against the source."""
     analyses = analyze_image(compiled.image, compiled.symbols, config)
     out = image_findings(analyses, config)
-    if translation:
-        out.extend(translation_validate(program, compiled, config,
-                                        analyses=analyses))
+    out.extend(translation_validate(program, compiled, config,
+                                    analyses=analyses))
     return out
 
 

@@ -81,12 +81,6 @@ class BinaryCFG:
     image_size: int
     entries: Dict[int, str]  # function entry pc -> name
 
-    def function_at(self, pc: int) -> Optional[BinFunction]:
-        for fn in self.functions.values():
-            if fn.contains(pc):
-                return fn
-        return None
-
 
 def decode_image(image: bytes,
                  base: int = 0) -> Tuple[Dict[int, Instr],

@@ -74,6 +74,13 @@ SERVER = "server"
 SPIN = "spin"
 UNBOUNDED = "unbounded"
 
+#: Inferred bounds above this are treated as not-a-bound: a widened
+#: interval proves "at most 2**32 iterations", which is never the fuel
+#: idiom and would only hide a missing annotation.
+MAX_INFERRED_BOUND = 1 << 20
+#: Cap on acyclic back-edge paths enumerated per loop.
+MAX_PATHS = 128
+
 
 # ---------------------------------------------------------------------------
 # Configuration and results
@@ -90,12 +97,6 @@ class TimingConfig:
     model: CostModel
     loop_bounds: Mapping[str, Mapping[int, int]] = \
         field(default_factory=dict)
-    #: Inferred bounds above this are treated as not-a-bound: a widened
-    #: interval proves "at most 2**32 iterations", which is never the
-    #: fuel idiom and would only hide a missing annotation.
-    max_inferred_bound: int = 1 << 20
-    #: Cap on acyclic back-edge paths enumerated per loop.
-    max_paths: int = 128
 
     def annotated(self, function: str, ordinal: int) -> Optional[int]:
         return dict(self.loop_bounds.get(function, {})).get(ordinal)
@@ -526,8 +527,7 @@ def _exit_test(fn: BinFunction, loop: _Loop,
 
 def _entry_bound(fn: BinFunction, loop: _Loop, rt: int,
                  analysis: FunctionAnalysis,
-                 preds: Dict[int, Set[int]],
-                 config: TimingConfig) -> Optional[int]:
+                 preds: Dict[int, Set[int]]) -> Optional[int]:
     """Unsigned upper bound of the test register at first loop entry,
     from the stabilized preheader out-states pushed through the header."""
     best: Optional[int] = None
@@ -543,15 +543,14 @@ def _entry_bound(fn: BinFunction, loop: _Loop, rt: int,
         for pc, instr in header.instrs[:-1]:
             state = step_instr(pc, instr, state)
         w = _plain(state.regs[rt])
-        if w.hi > config.max_inferred_bound:
+        if w.hi > MAX_INFERRED_BOUND:
             return None
         best = w.hi if best is None else max(best, w.hi)
     return best
 
 
 def _decrement_holds(fn: BinFunction, loop: _Loop, rt: int, body: int,
-                     inner: Dict[int, _LoopSummary],
-                     config: TimingConfig) -> bool:
+                     inner: Dict[int, _LoopSummary]) -> bool:
     """Every acyclic back-edge path must leave the next header test at
     ``previous - 1`` (same affine base) or at the constant 0."""
     header = fn.blocks[loop.header]
@@ -560,7 +559,7 @@ def _decrement_holds(fn: BinFunction, loop: _Loop, rt: int, body: int,
     rt0 = start.regs[rt]
     if rt0 is None:
         return False
-    budget = [config.max_paths]
+    budget = [MAX_PATHS]
 
     def finish(st: _AffState) -> bool:
         env = st.copy()
@@ -725,14 +724,12 @@ class _FunctionWcet:
         if test is None:
             return None, UNBOUNDED
         rt, body = test
-        bound = _entry_bound(self.fn, loop, rt, self.analysis, self.preds,
-                             self.config)
+        bound = _entry_bound(self.fn, loop, rt, self.analysis, self.preds)
         if bound is None:
             return None, UNBOUNDED
         if bound == 0:
             return 0, INFERRED  # zero-trip: never entered
-        if not _decrement_holds(self.fn, loop, rt, body, inner,
-                                self.config):
+        if not _decrement_holds(self.fn, loop, rt, body, inner):
             return None, UNBOUNDED
         return bound, INFERRED
 

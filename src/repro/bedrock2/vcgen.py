@@ -338,20 +338,23 @@ class VC:
         return T.var(name, width)
 
     def _ledger(self, led, state: SymState, goal: T.Term, context: str,
-                status: str, snapshot: Optional[tuple], t0: float,
+                status: str, snapshot: Optional[tuple],
+                digest: Optional[str], t0: float,
                 tier: Optional[str] = None,
                 prescreen: Optional[str] = None) -> None:
-        """Append one obligation record to the active ledger."""
+        """Append one obligation record to the active ledger. ``digest``
+        is the fingerprint `solver.check_valid` computed, if it did."""
         if snapshot is not None:
             effort, solved_tier, cache_state = _solver_delta(snapshot)
             if tier is None:
                 tier = solved_tier
         else:
             effort, cache_state = {key: 0 for key, _ in _EFFORT_REFS}, None
-        # The same formula `solver.check_valid` decides, fingerprinted
-        # the same way the proof cache keys it.
-        digest, _ = C.fingerprint(
-            T.and_(*(list(state.path) + [T.not_(goal)])))
+        if digest is None:
+            # The same formula `solver.check_valid` decides, fingerprinted
+            # the same way the proof cache keys it.
+            digest, _ = C.fingerprint(
+                T.and_(*(list(state.path) + [T.not_(goal)])))
         led.append({
             "function": self.function,
             "seq": next(self._ledger_seq),
@@ -376,7 +379,7 @@ class VC:
         t0 = time.perf_counter()
         led = obs.ledger()
         snapshot = _solver_snapshot() if led is not None else None
-        tier = reason = model = None
+        tier = reason = model = digest = None
         if self.prescreened(state, goal):
             proved, snapshot, tier = True, None, "prescreen"
             reason = "const-goal" if goal is T.TRUE else "abstract-interp"
@@ -389,17 +392,17 @@ class VC:
                 _OBLIGATION_SECONDS.record(time.perf_counter() - t0)
                 if led is not None:
                     self._ledger(led, state, goal, context, "timeout",
-                                 snapshot, t0)
+                                 snapshot, None, t0)
                 raise
-            proved, model = result.valid, result.model
+            proved, model, digest = result.valid, result.model, result.digest
         _OBLIGATION_SECONDS.record(time.perf_counter() - t0)
         if proved:
             self.obligations_proved += 1
             _VCS_PROVED.inc()
         if led is not None:
             self._ledger(led, state, goal, context,
-                         "proved" if proved else "unprovable", snapshot, t0,
-                         tier=tier, prescreen=reason)
+                         "proved" if proved else "unprovable", snapshot,
+                         digest, t0, tier=tier, prescreen=reason)
         return proved, model
 
     def prove(self, state: SymState, goal: T.Term, context: str) -> None:

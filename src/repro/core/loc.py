@@ -117,7 +117,7 @@ TABLE4_LAYERS: Dict[str, Tuple[List[str], List[str], List[str]]] = {
          "bedrock2/c_export.py", "riscv/disasm.py"],
         ["riscv/insts.py", "riscv/encode.py", "riscv/decode.py",
          "riscv/semantics.py"],
-        ["compiler/regcheck.py"],
+        ["analysis/cfg.py", "analysis/binlint.py"],
     ),
     "SW/HW interface": (
         ["riscv/machine.py"],

@@ -8,7 +8,6 @@ layer            what runs
 interp           big-step interpreter (`repro.bedrock2.semantics`) --
                  the reference; UB or out-of-fuel here means an *invalid*
                  program (a generator bug), never a divergence
-smallstep        small-step semantics (`repro.bedrock2.smallstep`)
 binlint          *static* layer: the binary-level abstract interpreter
                  (`repro.analysis.binlint`) lints the compiled image
                  before anything executes it; any finding is a
@@ -30,7 +29,7 @@ kami-spec        the same binary on the single-cycle Kami processor
 kami-pipelined   the same binary on the paper's p4mm pipeline
 ===============  ==========================================================
 
-The six executing layers observe the same synthetic MMIO device (a
+The five executing layers observe the same synthetic MMIO device (a
 fresh copy each -- the device is deterministic in its access sequence,
 so layers agree iff their MMIO behavior agrees). Compared per layer:
 return values, the final scratch region, and the full MMIO trace
@@ -38,6 +37,11 @@ return values, the final scratch region, and the full MMIO trace
 `repro.kami.refinement.match_trace_prefix`). The pipelined processor is
 additionally prefix-checked *during* execution so a divergence is
 caught at the first wrong event rather than at a timeout.
+
+The small-step semantics (`repro.bedrock2.smallstep`) is no layer: run
+beside the interpreter it killed no catalog mutation. Its agreement
+with the interpreter (§4.2) is checked by
+`tests/test_bedrock2_agreement.py` and `repro check`.
 
 A sampled cross-check of `repro.bedrock2.vcgen` piggybacks on the
 reference run: we symbolically execute the program with a collecting VC
@@ -68,7 +72,6 @@ from ..bedrock2.semantics import (
     run_function,
     to_mmio_triples,
 )
-from ..bedrock2.smallstep import run_function_smallstep
 from ..compiler.pipeline import CompileError, compile_program
 from ..kami.refinement import (
     build_pipelined_system,
@@ -91,8 +94,8 @@ from .generator import (
 #: Stop-at-first-divergence comparison order; "interp" is the reference.
 #: "wcet" is the second static layer: it must *prove* timing and stack
 #: bounds that the dynamic layers after it are then measured against.
-LAYERS = ("interp", "smallstep", "binlint", "wcet", "compiled", "fast",
-          "kami-spec", "kami-pipelined")
+LAYERS = ("interp", "binlint", "wcet", "compiled", "fast", "kami-spec",
+          "kami-pipelined")
 
 _MEM_SIZE = 1 << 16          # machine RAM [0, 0x10000): image, scratch, stack
 _STACK_TOP = 1 << 16
@@ -172,16 +175,6 @@ def _run_interp(program: Program) -> LayerOutcome:
     rets, state = run_function(program, "main", (), mem=mem,
                                ext=MMIOExtHandler(dev))
     return LayerOutcome("interp", rets=tuple(rets),
-                        scratch=_scratch_from_snapshot(mem.snapshot()),
-                        trace=to_mmio_triples(state.trace))
-
-
-def _run_smallstep(program: Program) -> LayerOutcome:
-    dev = SyntheticDevice()
-    mem = _scratch_memory()
-    rets, state = run_function_smallstep(program, "main", (), mem=mem,
-                                         ext=MMIOExtHandler(dev))
-    return LayerOutcome("smallstep", rets=tuple(rets),
                         scratch=_scratch_from_snapshot(mem.snapshot()),
                         trace=to_mmio_triples(state.trace))
 
@@ -418,19 +411,8 @@ def run_differential(program: Program,
         result["divergence"] = record
         return result
 
-    if "smallstep" in layers:
-        result["layers"].append("smallstep")
-        try:
-            small = _timed("smallstep", lambda: _run_smallstep(program))
-        except (UndefinedBehavior, OutOfFuel) as exc:
-            return diverged({"layer": "smallstep", "kind": "crash",
-                             "detail": str(exc)})
-        record = _compare(reference, small)
-        if record:
-            return diverged(record)
-
-    # Every layer after the two source-level ones runs the binary.
-    if not any(name in layers for name in LAYERS[2:]):
+    # Every layer after the reference runs the binary.
+    if not any(name in layers for name in LAYERS[1:]):
         return result
     try:
         compiled = compile_program(program, stack_top=_STACK_TOP)

@@ -146,10 +146,6 @@ class BitBlaster:
             out.append(s)
         return out
 
-    def _neg_bits(self, a: List[int]) -> List[int]:
-        zero = [self._const_lit(False)] * len(a)
-        return self._add_bits(zero, [-x for x in a], self._const_lit(True))
-
     def _ult_bits(self, a: List[int], b: List[int]) -> int:
         """Unsigned a < b."""
         lt = self._const_lit(False)

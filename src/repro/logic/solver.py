@@ -122,13 +122,16 @@ def _flush_sat_stats(blaster: BitBlaster, before: tuple) -> int:
 
 
 class Result:
-    """Outcome of a validity check."""
+    """Outcome of a validity check. ``digest`` is the proof-cache
+    fingerprint of the formula `check_valid` decided, or None when no
+    cache was installed."""
 
-    __slots__ = ("valid", "model")
+    __slots__ = ("valid", "model", "digest")
 
     def __init__(self, valid: bool, model: Optional[Dict[str, int]] = None):
         self.valid = valid
         self.model = model
+        self.digest: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.valid
@@ -193,6 +196,7 @@ def check_valid(goal: T.Term, hypotheses: Iterable[T.Term] = (),
                 if result is not None:
                     C.HITS.inc()
                     sp.set("tier", "cache")
+                    result.digest = digest
                     return result
                 cache.poison(digest)
             C.MISSES.inc()
@@ -205,6 +209,7 @@ def check_valid(goal: T.Term, hypotheses: Iterable[T.Term] = (),
                              for name, value in result.model.items()
                              if name in varmap}
             cache.store(digest, result.valid, canonical)
+        result.digest = digest
         return result
 
 

@@ -463,10 +463,6 @@ def slt(a: Term, b: Term) -> Term:
     return Term("slt", (a, b), None, BOOL)
 
 
-def sle(a: Term, b: Term) -> Term:
-    return not_(slt(b, a))
-
-
 # ---------------------------------------------------------------------------
 # Boolean connectives
 

@@ -8,7 +8,7 @@ at address 0" -- is produced by `encode_program`.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from .insts import Instr
 
@@ -104,6 +104,3 @@ def encode_program(instrs: Sequence[Instr]) -> bytes:
         out += word.to_bytes(4, "little")
     return bytes(out)
 
-
-def words_of(instrs: Sequence[Instr]) -> List[int]:
-    return [encode(i) for i in instrs]

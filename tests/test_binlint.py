@@ -6,7 +6,8 @@ Three layers of evidence:
   clean, including translation validation;
 * *recall*: hand-written bad binaries trip every one of the seven
   abstract-interpretation defect classes, and the two runtime-silent
-  catalog mutations are killed by the binlint oracle layer alone;
+  catalog mutations show up as binlint findings (that no other oracle
+  layer kills them is pinned in `tests/test_fuzz.py`);
 * *soundness*: on concrete executions, the machine state at every pc is
   inside the abstract state the fixpoint computed for that pc.
 """
@@ -33,13 +34,7 @@ from repro.fuzz.astjson import program_from_json
 from repro.fuzz.generator import GenConfig, PROFILES, SCRATCH_BASE, \
     generate_program
 from repro.fuzz.mutate import mutation_context
-from repro.fuzz.oracle import (
-    DEV_BASE,
-    DEV_SIZE,
-    LAYERS,
-    SyntheticDevice,
-    run_fuzz_seed,
-)
+from repro.fuzz.oracle import DEV_BASE, DEV_SIZE, SyntheticDevice
 from repro.platform.bus import MMIO_RANGES
 from repro.riscv import insts as I
 from repro.riscv.encode import encode_program
@@ -311,16 +306,6 @@ def test_callee_save_mutation_visible_only_statically():
     findings = lint_compiled(compiled, _fuzz_config())
     assert "B2A106" in _codes(findings)
 
-
-@pytest.mark.parametrize("mutation", ["encode-jalr-imm-plus1",
-                                      "regalloc-drop-callee-save"])
-def test_silent_mutations_killed_by_binlint_layer(mutation):
-    result = run_fuzz_seed(0, mutation=mutation)
-    assert result["status"] == "divergence", result
-    assert result["divergence"]["layer"] == "binlint", result
-    without = tuple(layer for layer in LAYERS if layer != "binlint")
-    result = run_fuzz_seed(0, mutation=mutation, layers=without)
-    assert result["status"] == "ok", result
 
 
 # -- soundness: abstract states contain every concrete execution -------------

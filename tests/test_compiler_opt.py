@@ -253,7 +253,7 @@ def gen_cmd(draw, depth=2):
                     lit(0x10024000))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=70, deadline=None)
 @given(gen_cmd(depth=3),
        st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3))
 def test_generated_programs_optimize_correctly(cmd, args):

@@ -188,6 +188,28 @@ def test_fast_mutations_killed(name):
     assert result["status"] == "divergence", result
 
 
+#: The kills that only one oracle layer makes over `DEFAULT_SCORE_SEEDS`
+#: (the whole kill matrix is in docs/fuzzing.md), each with a killing
+#: seed. A layer that loses its last unique kill no longer earns its
+#: place in `LAYERS`.
+UNIQUE_KILLS = [
+    ("binlint", "encode-jalr-imm-plus1", 0),
+    ("binlint", "regalloc-drop-callee-save", 0),
+    ("kami-pipelined", "pipeline-fifo-lifo", 4),
+    ("kami-pipelined", "pipeline-rs-swap", 0),
+]
+
+
+@pytest.mark.parametrize("layer,mutation,seed", UNIQUE_KILLS)
+def test_unique_kill_needs_its_layer(layer, mutation, seed):
+    result = run_fuzz_seed(seed, mutation=mutation)
+    assert result["status"] == "divergence", result
+    assert result["divergence"]["layer"] == layer, result
+    without = tuple(name for name in LAYERS if name != layer)
+    result = run_fuzz_seed(seed, mutation=mutation, layers=without)
+    assert result["status"] == "ok", result
+
+
 def test_catalog_spans_required_layers():
     layers = {m.layer for m in CATALOG.values()}
     assert {"compiler", "encoder", "pipeline"} <= layers

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro import obs
+from repro.logic import cache as C
 from repro.obs.ledger import Ledger, load_jsonl
 from repro.sw.verify import run_verify_task, verify_all, verify_doorlock
 
@@ -124,6 +125,29 @@ def test_prescreen_discharges_are_attributed():
                for r in prescreened)
     # Prescreened obligations never reached the solver.
     assert all(not any(r["effort"].values()) for r in prescreened)
+
+
+def test_ledger_reuses_the_solver_fingerprint(monkeypatch):
+    # With a proof cache installed, `check_valid` fingerprints every
+    # query's formula once; a solver-decided record takes that digest,
+    # so only prescreened obligations are fingerprinted again.
+    walks = []
+    fingerprint = C.fingerprint
+
+    def counted(term):
+        walks.append(term)
+        return fingerprint(term)
+
+    monkeypatch.setattr(C, "fingerprint", counted)
+    obs.enable()
+    obs.enable_ledger()
+    cache = C.ProofCache()
+    verify_all(jobs=1, cache=cache)
+    verify_doorlock(jobs=1, cache=cache)
+    prescreened = sum(r["tier"] == "prescreen"
+                      for r in obs.ledger().records)
+    assert prescreened
+    assert len(walks) == obs.counter("solver.queries").value + prescreened
 
 
 # --------------------------------------------------------- determinism
