@@ -137,11 +137,17 @@ def _capture_byte(name: str):
 
 def _bind_word(names, word_fn) -> TracePred:
     """Rebinds the environment to ``word_fn(word, env)``, where ``word`` is
-    the little-endian word of the bytes captured as ``names``."""
+    the little-endian word of the bytes captured as ``names`` and ``env``
+    no longer holds those bytes: nothing reads them again, and the
+    checker's states would otherwise differ by stale bytes."""
     b0, b1, b2, b3 = names
-    return Bind(lambda env: word_fn(env[b0] | (env[b1] << 8)
-                                    | (env[b2] << 16) | (env[b3] << 24), env),
-                "word")
+
+    def bind(env):
+        word = env[b0] | (env[b1] << 8) | (env[b2] << 16) | (env[b3] << 24)
+        return word_fn(word, {name: value for name, value in env.items()
+                              if name not in names})
+
+    return Bind(bind, "word")
 
 
 def lan_readword(addr: int, word_fn) -> TracePred:

@@ -22,6 +22,14 @@ multi-event transactions capture values (e.g. the bytes of a received
 packet) and guard on them -- the expressiveness the paper gets from
 higher-order logic.
 
+The functions a predicate holds -- a `Step`'s, a `Bind`'s or `Guard`'s,
+`RepeatN`'s ``count_fn`` and ``body_fn``, `Exists`'s ``body`` -- must be
+pure: the result a function of the arguments alone, and the environment
+passed in never mutated (return a new dict instead). The engine caches
+what they return in an automaton shared by every check of the same spec
+object, so an impure function would make one check's verdict depend on
+another's.
+
 The Python operators ``+`` (concat), ``|`` (union) and ``.star()`` mirror
 the paper's notation.
 """
