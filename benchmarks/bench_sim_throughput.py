@@ -10,10 +10,11 @@ engine (`repro.riscv.fastpath`) exists to move.
 Measured variants:
 
 * ``sim_reference``: the reference fetch/decode/execute interpreter;
-* ``sim_fast_cold``: the fast engine on a fresh machine -- includes
-  decode-cache fills and basic-block discovery;
-* ``sim_fast_warm``: the same machine continuing execution with the
-  decode cache and block map already populated.
+* ``sim_fast_cold``: the fast engine on a fresh machine in a process
+  whose shared executors and block table are emptied first -- includes
+  executor builds and basic-block discovery;
+* ``sim_fast_warm`` (``test_fast_engine_speedup``): a machine continuing
+  execution with its block map already populated.
 
 The fast engine must be at least ``MIN_SPEEDUP``x the reference
 (asserted by ``test_fast_engine_speedup``, which CI's ``benchmarks`` job
@@ -24,6 +25,7 @@ speedup is the fuzz oracle's "fast" layer and
 
 import time
 
+from repro.riscv import fastpath
 from repro.riscv.machine import RiscvMachine
 from repro.sw.program import compiled_lightbulb, make_platform
 
@@ -44,7 +46,7 @@ def _throughput(fast, warm=False):
     """Instructions/second over ``_STEPS`` on the end2end workload."""
     machine = _machine(fast)
     if warm:
-        machine.run(_STEPS)  # populate decode cache + block map
+        machine.run(_STEPS)  # populate the block map
     start = machine.instret
     t0 = time.perf_counter()
     machine.run(_STEPS)
@@ -60,6 +62,8 @@ def test_sim_throughput_reference(benchmark):
 
 
 def test_sim_throughput_fast_cold(benchmark):
+    # Cold means no executor or block another run in this process built.
+    fastpath.clear_shared()
     machine = _machine(fast=True)
     benchmark.pedantic(lambda: machine.run(_STEPS), rounds=1, iterations=1)
     print()

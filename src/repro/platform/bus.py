@@ -61,7 +61,12 @@ class MMIOBus:
         self.devices.append(device)
 
     def is_mmio(self, addr: int) -> bool:
-        return any(lo <= addr < hi for lo, hi in MMIO_RANGES)
+        # A plain loop, not any() over a generator: this runs on every
+        # non-RAM access. `platform/dma.py` appends a range on import.
+        for lo, hi in MMIO_RANGES:
+            if lo <= addr < hi:
+                return True
+        return False
 
     def read(self, addr: int) -> int:
         _BUS_READS.inc()

@@ -3,56 +3,52 @@
 The reference interpreter in `repro.riscv.machine` pays, on every single
 step, for a byte-at-a-time owned-memory fetch, a fresh `decode`, and the
 long dispatch chain in `repro.riscv.semantics.execute`. Every end-to-end
-theorem check, fuzz layer, and adversarial sweep bottoms out in that
-loop, so this module provides a second engine that is required to be
+theorem check, fuzz layer, and fleet run bottoms out in that loop, so
+this module provides a second engine that is required to be
 **bit-identical** to the reference -- same registers, memory, PC,
-``instret``, MMIO trace, XAddrs set, and exceptions -- while skipping
-the per-step interpretation overhead:
+``instret``, stack watermark, MMIO trace, XAddrs set, and exceptions --
+while skipping the per-step interpretation overhead:
 
-* a **decoded-instruction cache** keyed by the raw 32-bit instruction
-  word. Each entry holds a *specialized executor closure* with the
-  operands, immediates, and masks pre-bound, so executing a cached
-  instruction is one zero-argument call. The cache is content-addressed
-  (the key is the instruction bytes themselves), so it never needs
-  invalidation;
-* **basic-block discovery and fusion**: straight-line runs of
-  instructions are fetched once -- through the reference
-  ``load(kind="fetch")`` path, so owned-memory and stale-instruction
-  (XAddrs) undefined behavior is detected exactly as the reference
-  would -- and replayed as a list of closures with no per-step fetch.
-  Stores into cached code invalidate the covering blocks (see below),
-  re-arming the reference fetch checks;
-* **flat RAM access**: executor closures read and write the contiguous
-  `MachineMemory.ram` bytearray directly (the dict-of-bytes view stays
-  the reference model); sparse bytes, MMIO, and loan-checked accesses
-  fall back to the reference `machine.load`/`machine.store`, so traces
-  and UB are identical by construction.
+* **shared executors**: each instruction word gets one specialized
+  function ``ex(machine, regs)`` with its operands pre-bound, run by every
+  machine in the process; `PC_RELATIVE` words get one per ``(pc, word)``.
+  An executor leaves ``pc`` and ``instret`` to its caller: it returns
+  None to fall through, the next pc (branches and jumps), or `_STOP`
+  after an access that changed its machine's blocks;
+* **fused basic blocks**: a straight-line run of instructions, fetched
+  once through the reference ``load(kind="fetch")`` path (so owned-memory
+  and stale-instruction (XAddrs) faults fire exactly as in the
+  reference), replayed as a list of executors. The block loop writes
+  ``pc`` and ``instret`` once per block run, and on a fault leaves them
+  at the faulting instruction;
+* **a process-wide block table**, keyed by start pc and code bytes, of
+  the blocks that ended by rule (at a branch or jump, or at `MAX_BLOCK`).
+  A machine whose own block map misses adopts a table block after
+  checking that its own bytes there are the block's and that every fetch
+  the reference would make succeeds (owned flat RAM, no DMA loan, no
+  non-executable byte); else it builds the block itself. Block
+  boundaries are thus what each machine would build alone;
+* **flat RAM access**: executors read and write the `MachineMemory.ram`
+  bytearray directly; sparse bytes, MMIO, and loaned memory go through
+  the reference `machine.load`/`machine.store`.
 
-Invalidation uses 64-byte *code pages*: every built block registers the
-pages its instruction bytes span, and every store probes the page map
-(one dict lookup on the hot path). A hit removes all blocks on the
-touched pages and bumps the engine generation counter, which the block
-execution loop re-checks after every instruction -- so even a store into
-the *currently executing* block aborts fused execution and falls back to
-a reference fetch, which then raises the stale-instruction UB exactly
-like the interpreter. `loan_out`/`loan_return` (DMA ownership transfer)
-and `MachineMemory` writes from outside the engine bump epochs that
-flush all blocks on the next run.
-
-Known limitation: writing the `MachineMemory.ram` bytearray directly
-(not through ``machine.mem[addr] = v`` or the machine's store path)
-bypasses invalidation; no code in the repository does that after a
-machine has started executing.
-
-The engine also serves the instrumented (observability) run loop: each
-decode-cache entry carries a per-opcode execution count slot, so
-per-opcode statistics cost one attribute increment per step instead of a
-dict get/put (see `RiscvMachine._run_instrumented`).
+The table and the executor cache are capped by module constants and
+both cleared when either is full; blocks and executors are immutable, so
+a clear only stops future reuse. Invalidation stays per machine, by
+64-byte *code pages*: a store that hits a page of a block in its
+machine's map drops those blocks and returns `_STOP`, so even a store
+into the running block re-dispatches through the fetch checks. DMA loans
+flush the block map at once, and `MachineMemory` writes from outside the
+engine bump an epoch that flushes it on the next run. Writing the
+`MachineMemory.ram` bytearray directly bypasses invalidation; nothing in
+the repository does that after a machine has started.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+import operator
+import struct
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .. import obs
 from ..bedrock2 import word
@@ -74,13 +70,31 @@ PAGE_SHIFT = 6
 ENDS_BLOCK = frozenset(("beq", "bne", "blt", "bge", "bltu", "bgeu",
                         "jal", "jalr"))
 
-# Cold-path metrics only: the hot loop increments nothing per step
-# (dispatch counts are accumulated locally and flushed per `run` call).
-_DCACHE_MISSES = obs.counter("riscv.fast.dcache_misses")
+#: Mnemonics whose executor depends on the pc: built once per (pc, word).
+PC_RELATIVE = ENDS_BLOCK | {"auipc"}
+
+#: Caps on the executor cache and the block table. A fuzz pass of 40
+#: programs fills about 2,300 executors and 270 blocks, a device image
+#: about 130 blocks.
+EXECUTORS_MAX = 1 << 12
+TABLE_MAX = 1 << 10
+
+#: An executor's result after an access that changed its machine's
+#: blocks: the block loop stops there and dispatches again.
+_STOP = -1
+
+Executor = Callable[[object, List[int]], Optional[int]]
+
+# Cold-path metrics only: nothing is counted per instruction. A block-map
+# fill counts as built whether adopted or built; the table counters
+# depend on what the process ran before (volatile).
 _BLOCKS_BUILT = obs.counter("riscv.fast.blocks_built")
 _INVALIDATIONS = obs.counter("riscv.fast.invalidations")
 _BLOCK_RUNS = obs.counter("riscv.fast.block_runs")
 _BLOCK_LEN = obs.histogram("riscv.fast.block_len")
+_TABLE_HITS = obs.counter("riscv.fast.table_hits")
+_TABLE_MISSES = obs.counter("riscv.fast.table_misses")
+_TABLE_CLEARS = obs.counter("riscv.fast.table_clears")
 
 # R-type / I-type arithmetic, specialized where hot and delegated to
 # `word` where cold; all results are exactly the reference's.
@@ -111,6 +125,20 @@ _I_ALU = {"addi": "add", "slti": "slt", "sltiu": "sltu", "xori": "xor",
           "ori": "or", "andi": "and",
           "slli": "sll", "srli": "srl", "srai": "sra"}
 
+#: Branch conditions on operands pre-XORed with the flip word (the sign
+#: bit for the signed compares).
+_BRANCHES = {"beq": (operator.eq, 0), "bne": (operator.ne, 0),
+             "blt": (operator.lt, _SIGN), "bge": (operator.ge, _SIGN),
+             "bltu": (operator.lt, 0), "bgeu": (operator.ge, 0)}
+
+#: Flat-RAM little-endian codecs; signed loads are masked to the word.
+_CODECS = {name: struct.Struct("<" + fmt) for name, fmt in (
+    ("lb", "b"), ("lbu", "B"), ("lh", "h"), ("lhu", "H"), ("lw", "I"),
+    ("sb", "B"), ("sh", "H"), ("sw", "I"))}
+
+#: Position-independent executors by word, pc-relative ones by (pc, word).
+_EXECUTORS: Dict[Union[int, Tuple[int, int]], Executor] = {}
+
 
 def machine_state_diff(ref, fast) -> Optional[str]:
     """First observable difference between two machines' final states,
@@ -120,7 +148,8 @@ def machine_state_diff(ref, fast) -> Optional[str]:
     oracle's "fast" layer and the corpus-replay tier-1 test: *everything*
     the ISA machine exposes is compared -- registers, PC, retired
     instruction count, the full owned memory (flat RAM and sparse
-    bytes), the MMIO trace, and the XAddrs complement set.
+    bytes), the MMIO trace, the XAddrs complement set, and the stack
+    watermark.
     """
     if fast.instret != ref.instret:
         return "instret %d vs %d" % (fast.instret, ref.instret)
@@ -141,338 +170,287 @@ def machine_state_diff(ref, fast) -> Optional[str]:
     if fast.nonexec != ref.nonexec:
         return ("nonexec sets differ (symmetric difference %r)"
                 % sorted(fast.nonexec ^ ref.nonexec)[:8])
+    if fast.sp_min != ref.sp_min:
+        return "sp_min %#x vs %#x" % (fast.sp_min, ref.sp_min)
     return None
 
 
-class DecodedEntry:
-    """One decode-cache entry: the raw word's specialized executor."""
+# -- executors ----------------------------------------------------------------
 
-    __slots__ = ("raw", "name", "ex", "ends_block", "count")
 
-    def __init__(self, raw: int, name: str, ex: Callable[[], None],
-                 ends_block: bool):
-        self.raw = raw
-        self.name = name
-        self.ex = ex
-        self.ends_block = ends_block
-        self.count = 0  # per-opcode execution count (instrumented runs)
+def _nop(m, regs) -> None:
+    """An instruction whose only effect is the pc/instret advance."""
+
+
+def executor(raw: int, pc: int) -> Executor:
+    """The shared executor of the word ``raw`` fetched at ``pc``; raises
+    the reference's `RiscvUB` for a word that does not decode."""
+    ex = _EXECUTORS.get(raw)
+    if ex is not None and not pc & 3:
+        return ex
+    ex = _EXECUTORS.get((pc, raw))
+    if ex is not None:
+        return ex
+    try:
+        instr = decode_cached(raw)
+    except InvalidInstruction as exc:
+        raise RiscvUB("invalid instruction at pc=0x%x: %s"
+                      % (pc, exc)) from exc
+    ex = _compile(instr, pc)
+    if pc & 3 and instr.name not in ENDS_BLOCK:
+        ex = _faults_after(ex, (pc + 4) & MASK)
+    if len(_EXECUTORS) >= EXECUTORS_MAX:
+        clear_shared()
+    _EXECUTORS[(pc, raw) if instr.name in PC_RELATIVE or pc & 3 else raw] = ex
+    return ex
+
+
+def _faults_after(inner: Executor, npc: int) -> Executor:
+    """A straight-line instruction at a misaligned pc (only an initial pc
+    can be one): the reference executes it, then faults on the
+    sequential pc."""
+    def ex(m, regs) -> None:
+        inner(m, regs)
+        raise RiscvUB("misaligned jump target 0x%x" % npc)
+    return ex
+
+
+def _compile(instr: Instr, pc: int) -> Executor:
+    """Build the executor for one instruction (``pc`` is used only by the
+    `PC_RELATIVE` mnemonics).
+
+    Executors replicate `semantics.execute` on `RiscvMachine` primitives
+    *exactly*, including effect order (e.g. jal/jalr link before the
+    target-alignment check), exception messages, and the stack watermark
+    `RiscvMachine.sp_min` on every write to x2. Their operands are bound
+    as default arguments rather than closure cells: a third of the memory
+    per executor, and the process keeps thousands of them.
+    """
+    name, rd, rs1, rs2, imm = (instr.name, instr.rd, instr.rs1, instr.rs2,
+                               instr.imm)
+    imm_w = word.wrap(imm) if imm is not None else 0
+
+    if name in _ALU_OPS or name in _I_ALU:
+        op = _ALU_OPS[_I_ALU.get(name, name)]
+        if rd == 0:
+            return _nop  # pure ALU write to x0: PC/instret only
+        # Shift-immediates store the shamt in `imm` unwrapped; wrap() is
+        # the identity on 0..31 so imm_w covers both.
+        if rd == 2:
+            def ex(m, regs, op=op, rs1=rs1, rs2=rs2, imm_w=imm_w,
+                   i_type=name in _I_ALU) -> None:
+                v = regs[2] = op(regs[rs1], imm_w if i_type else regs[rs2])
+                if v < m.sp_min:
+                    m.sp_min = v
+        elif name == "addi":
+            def ex(m, regs, rd=rd, rs1=rs1, imm_w=imm_w) -> None:
+                regs[rd] = (regs[rs1] + imm_w) & MASK
+        elif name == "add":
+            def ex(m, regs, rd=rd, rs1=rs1, rs2=rs2) -> None:
+                regs[rd] = (regs[rs1] + regs[rs2]) & MASK
+        elif name in _I_ALU:
+            def ex(m, regs, op=op, rd=rd, rs1=rs1, imm_w=imm_w) -> None:
+                regs[rd] = op(regs[rs1], imm_w)
+        else:
+            def ex(m, regs, op=op, rd=rd, rs1=rs1, rs2=rs2) -> None:
+                regs[rd] = op(regs[rs1], regs[rs2])
+        return ex
+
+    if name in LOAD_SIZES:
+        sign_bit = {"lb": 0x80, "lh": 0x8000}.get(name, 0)
+
+        def ex(m, regs, rd=rd, rs1=rs1, imm_w=imm_w,
+               size=LOAD_SIZES[name], unpack=_CODECS[name].unpack_from,
+               sign_bit=sign_bit, sign_ext=(-sign_bit) & MASK
+               ) -> Optional[int]:
+            a = (regs[rs1] + imm_w) & MASK
+            if a & (size - 1):
+                raise RiscvUB("misaligned load at 0x%x" % a)
+            mem = m.mem
+            off = a - mem.ram_base
+            if 0 <= off <= len(mem.ram) - size and not m.loans:
+                v = unpack(mem.ram, off)[0] & MASK
+                r = None
+            else:
+                # A device answering the load may move memory ownership.
+                eng = m._fast_engine
+                gen = eng.gen
+                v = m.load(size, a)
+                if v & sign_bit:
+                    v |= sign_ext
+                r = _STOP if eng.gen != gen else None
+            if rd:
+                regs[rd] = v
+                if rd == 2 and v < m.sp_min:
+                    m.sp_min = v
+            return r
+        return ex
+
+    if name in STORE_SIZES:
+        size = STORE_SIZES[name]
+
+        def ex(m, regs, rs1=rs1, rs2=rs2, imm_w=imm_w, size=size,
+               pack=_CODECS[name].pack_into,
+               smask=(1 << (8 * size)) - 1) -> Optional[int]:
+            a = (regs[rs1] + imm_w) & MASK
+            if a & (size - 1):
+                raise RiscvUB("misaligned store at 0x%x" % a)
+            mem = m.mem
+            off = a - mem.ram_base
+            eng = m._fast_engine
+            if 0 <= off <= len(mem.ram) - size and not m.loans:
+                pack(mem.ram, off, regs[rs2] & smask)
+                if m.track_xaddrs:
+                    m.nonexec.update(range(a, a + size))
+                # An aligned access lies in one page.
+                if a >> PAGE_SHIFT in eng.code_pages:
+                    eng.invalidate(a, size)
+                    return _STOP
+                return None
+            gen = eng.gen
+            m.store(size, a, regs[rs2] & smask)
+            eng.invalidate(a, size)
+            return _STOP if eng.gen != gen else None
+        return ex
+
+    if name in _BRANCHES:
+        cond, flip = _BRANCHES[name]
+
+        def ex(m, regs, cond=cond, flip=flip, rs1=rs1, rs2=rs2,
+               taken=(pc + imm_w) & MASK, fall=(pc + 4) & MASK) -> int:
+            npc = taken if cond(regs[rs1] ^ flip, regs[rs2] ^ flip) else fall
+            if npc & 3:
+                raise RiscvUB("misaligned jump target 0x%x" % npc)
+            return npc
+        return ex
+
+    if name in ("lui", "auipc"):
+        value = (imm << 12) & MASK
+        if name == "auipc":
+            value = (pc + value) & MASK
+        if rd == 0:
+            return _nop
+
+        def ex(m, regs, rd=rd, value=value) -> None:
+            regs[rd] = value
+            if rd == 2 and value < m.sp_min:
+                m.sp_min = value
+        return ex
+
+    if name in ("jal", "jalr"):
+        def ex(m, regs, rd=rd, rs1=rs1, imm_w=imm_w, indirect=name == "jalr",
+               target=(pc + imm_w) & MASK, link=(pc + 4) & MASK) -> int:
+            # jalr reads rs1 before linking: rs1 may be rd.
+            npc = (regs[rs1] + imm_w) & 0xFFFFFFFE if indirect else target
+            if rd:
+                regs[rd] = link
+                if rd == 2 and link < m.sp_min:
+                    m.sp_min = link
+            if npc & 3:
+                raise RiscvUB("misaligned jump target 0x%x" % npc)
+            return npc
+        return ex
+
+    # `decode` only produces the mnemonics handled above; anything else
+    # is a decoder extension this engine does not know yet.
+    raise RiscvUB("unimplemented instruction %r" % name)
+
+
+# -- basic blocks and the shared table ---------------------------------------
 
 
 class Block:
-    """A fused basic block: executors for [start, start + 4*n)."""
+    """A fused basic block: executors for [start, start + 4*n), and the
+    code bytes they were built from."""
 
-    __slots__ = ("start", "code", "n", "pages")
+    __slots__ = ("start", "code", "n", "pages", "raw")
 
-    def __init__(self, start: int, code: List[Callable[[], None]],
-                 pages: range):
+    def __init__(self, start: int, code: List[Executor], words: List[int]):
         self.start = start
         self.code = code
         self.n = len(code)
-        self.pages = pages
+        self.raw = struct.pack("<%dI" % self.n, *words)
+        self.pages = range(start >> PAGE_SHIFT,
+                           ((start + 4 * self.n - 1) >> PAGE_SHIFT) + 1)
+
+
+#: Blocks that ended by rule: start pc -> {code bytes: block}.
+_TABLE: Dict[int, Dict[bytes, Block]] = {}
+_table_size = 0
+
+
+def _admit(block: Block) -> None:
+    global _table_size
+    if _table_size >= TABLE_MAX:
+        clear_shared()
+    variants = _TABLE.setdefault(block.start, {})
+    if block.raw not in variants:
+        variants[block.raw] = block
+        _table_size += 1
+
+
+def clear_shared() -> None:
+    """Empty the process-wide executor cache and block table (when either
+    is full, or so that the next machine starts cold)."""
+    global _table_size
+    _TABLE.clear()
+    _EXECUTORS.clear()
+    _table_size = 0
+    _TABLE_CLEARS.inc()
 
 
 class FastEngine:
-    """Per-machine fast executor; created lazily by `RiscvMachine`."""
+    """Per-machine block map and run loops; created lazily by
+    `RiscvMachine`."""
 
     def __init__(self, machine) -> None:
         self.machine = machine
         self.mem = machine.mem
-        self.dcache: Dict[int, DecodedEntry] = {}
         self.blocks: Dict[int, Block] = {}
         self.code_pages: Dict[int, Set[int]] = {}
-        #: Bumped on every block invalidation; the block loop re-checks it
-        #: after each instruction so self-modifying stores abort fusion.
+        #: Bumped on every block invalidation or flush; an access that
+        #: bumps it makes its executor return `_STOP`.
         self.gen = 0
         self._mem_epoch = self.mem.epoch
 
-    # -- decode cache ---------------------------------------------------------
+    def fill(self, start: int) -> Block:
+        """Put the block at ``start`` in this machine's map: a table block
+        if this machine would build the same one, else a new one."""
+        block = self._adoptable(start)
+        if block is None:
+            _TABLE_MISSES.inc()
+            block = self.build_block(start)
+        else:
+            _TABLE_HITS.inc()
+        self.blocks[start] = block
+        for p in block.pages:
+            self.code_pages.setdefault(p, set()).add(start)
+        _BLOCKS_BUILT.inc()
+        _BLOCK_LEN.record(block.n)
+        return block
 
-    def entry_for(self, raw: int, pc: int) -> DecodedEntry:
-        """The (cached) specialized executor for an instruction word."""
-        entry = self.dcache.get(raw)
-        if entry is None:
-            _DCACHE_MISSES.inc()
-            try:
-                instr = decode_cached(raw)
-            except InvalidInstruction as exc:
-                raise RiscvUB("invalid instruction at pc=0x%x: %s"
-                              % (pc, exc)) from exc
-            fn = self._compile(instr)
-            if instr.rd == 2:
-                fn = self._watermark_sp(fn)
-            entry = DecodedEntry(raw, instr.name, fn,
-                                 instr.name in ENDS_BLOCK)
-            self.dcache[raw] = entry
-        return entry
-
-    def _watermark_sp(self, inner: Callable[[], None]
-                      ) -> Callable[[], None]:
-        """Keep `RiscvMachine.sp_min` (the stack high-water watermark)
-        exact on the fast path: closures write `regs` directly, so any
-        executor targeting x2 is wrapped here."""
+    def _adoptable(self, start: int) -> Optional[Block]:
+        """The table block at ``start`` whose bytes are this machine's,
+        if every fetch the reference would make there succeeds."""
+        variants = _TABLE.get(start)
+        if not variants:
+            return None
         m = self.machine
-        regs = m.regs
-
-        def ex() -> None:
-            # try/finally: jal/jalr link before their target-alignment
-            # check, so the write must be recorded even on a UB raise,
-            # exactly as the reference `set_register` path does.
-            try:
-                inner()
-            finally:
-                if regs[2] < m.sp_min:
-                    m.sp_min = regs[2]
-        return ex
-
-    def flush_opcounts(self) -> None:
-        """Move per-entry execution counts into the `riscv.op.*` counters."""
-        for entry in self.dcache.values():
-            if entry.count:
-                obs.counter("riscv.op." + entry.name).inc(entry.count)
-                entry.count = 0
-
-    # -- specialization -------------------------------------------------------
-
-    def _compile(self, instr: Instr) -> Callable[[], None]:
-        """Build the zero-argument executor closure for one instruction.
-
-        Closures replicate `semantics.execute` on `RiscvMachine`
-        primitives *exactly*, including effect order (e.g. jal/jalr link
-        before the target-alignment check) and exception messages.
-        """
-        m = self.machine
-        regs = m.regs
-        mem = self.mem
-        ram = mem.ram
-        base = mem.ram_base
-        eng = self
-        name = instr.name
-        rd = instr.rd
-        rs1 = instr.rs1
-        rs2 = instr.rs2
-        imm = instr.imm
-        imm_w = word.wrap(imm) if imm is not None else 0
-        nonexec = m.nonexec
-
-        def advance() -> None:
-            """Shared straight-line epilogue for rd == x0 no-ops."""
-            npc = (m.pc + 4) & MASK
-            if npc & 3:
-                raise RiscvUB("misaligned jump target 0x%x" % npc)
-            m.pc = npc
-            m.instret += 1
-
-        if name in _ALU_OPS or name in _I_ALU:
-            op = _ALU_OPS[_I_ALU.get(name, name)]
-            if rd == 0:
-                return advance  # pure ALU write to x0: PC/instret only
-            if name == "addi":
-                def ex() -> None:
-                    regs[rd] = (regs[rs1] + imm_w) & MASK
-                    npc = (m.pc + 4) & MASK
-                    if npc & 3:
-                        raise RiscvUB("misaligned jump target 0x%x" % npc)
-                    m.pc = npc
-                    m.instret += 1
-                return ex
-            if name == "add":
-                def ex() -> None:
-                    regs[rd] = (regs[rs1] + regs[rs2]) & MASK
-                    npc = (m.pc + 4) & MASK
-                    if npc & 3:
-                        raise RiscvUB("misaligned jump target 0x%x" % npc)
-                    m.pc = npc
-                    m.instret += 1
-                return ex
-            if name in _I_ALU:
-                # Shift-immediates store the shamt in `imm` unwrapped;
-                # wrap() is the identity on 0..31 so imm_w covers both.
-                def ex() -> None:
-                    regs[rd] = op(regs[rs1], imm_w)
-                    npc = (m.pc + 4) & MASK
-                    if npc & 3:
-                        raise RiscvUB("misaligned jump target 0x%x" % npc)
-                    m.pc = npc
-                    m.instret += 1
-                return ex
-
-            def ex() -> None:
-                regs[rd] = op(regs[rs1], regs[rs2])
-                npc = (m.pc + 4) & MASK
-                if npc & 3:
-                    raise RiscvUB("misaligned jump target 0x%x" % npc)
-                m.pc = npc
-                m.instret += 1
-            return ex
-
-        if name in LOAD_SIZES:
-            size = LOAD_SIZES[name]
-            hi = base + len(ram) - size
-            sign_bit = {"lb": 0x80, "lh": 0x8000}.get(name, 0)
-            sign_ext = {0x80: 0xFFFFFF00, 0x8000: 0xFFFF0000}.get(sign_bit, 0)
-            align = size - 1
-
-            def ex() -> None:
-                a = (regs[rs1] + imm_w) & MASK
-                if a & align:
-                    raise RiscvUB("misaligned load at 0x%x" % a)
-                if base <= a <= hi and not m.loans:
-                    off = a - base
-                    if size == 4:
-                        v = (ram[off] | ram[off + 1] << 8
-                             | ram[off + 2] << 16 | ram[off + 3] << 24)
-                    elif size == 2:
-                        v = ram[off] | ram[off + 1] << 8
-                    else:
-                        v = ram[off]
-                else:
-                    v = m.load(size, a)
-                if sign_bit and v & sign_bit:
-                    v |= sign_ext
-                if rd:
-                    regs[rd] = v
-                npc = (m.pc + 4) & MASK
-                if npc & 3:
-                    raise RiscvUB("misaligned jump target 0x%x" % npc)
-                m.pc = npc
-                m.instret += 1
-            return ex
-
-        if name in STORE_SIZES:
-            size = STORE_SIZES[name]
-            hi = base + len(ram) - size
-            smask = (1 << (8 * size)) - 1
-            align = size - 1
-            pages = self.code_pages
-
-            def ex() -> None:
-                a = (regs[rs1] + imm_w) & MASK
-                if a & align:
-                    raise RiscvUB("misaligned store at 0x%x" % a)
-                v = regs[rs2] & smask
-                if base <= a <= hi and not m.loans:
-                    off = a - base
-                    ram[off] = v & 0xFF
-                    if size > 1:
-                        ram[off + 1] = (v >> 8) & 0xFF
-                        if size > 2:
-                            ram[off + 2] = (v >> 16) & 0xFF
-                            ram[off + 3] = (v >> 24) & 0xFF
-                    if m.track_xaddrs:
-                        nonexec.add(a)
-                        if size > 1:
-                            nonexec.add(a + 1)
-                            if size > 2:
-                                nonexec.add(a + 2)
-                                nonexec.add(a + 3)
-                else:
-                    m.store(size, a, v)
-                if (a >> PAGE_SHIFT in pages
-                        or (a + size - 1) >> PAGE_SHIFT in pages):
-                    eng.invalidate(a, size)
-                npc = (m.pc + 4) & MASK
-                if npc & 3:
-                    raise RiscvUB("misaligned jump target 0x%x" % npc)
-                m.pc = npc
-                m.instret += 1
-            return ex
-
-        if name in ("beq", "bne", "bltu", "bgeu"):
-            cond = {"beq": lambda a, b: a == b,
-                    "bne": lambda a, b: a != b,
-                    "bltu": lambda a, b: a < b,
-                    "bgeu": lambda a, b: a >= b}[name]
-
-            def ex() -> None:
-                pc = m.pc
-                if cond(regs[rs1], regs[rs2]):
-                    npc = (pc + imm_w) & MASK
-                else:
-                    npc = (pc + 4) & MASK
-                if npc & 3:
-                    raise RiscvUB("misaligned jump target 0x%x" % npc)
-                m.pc = npc
-                m.instret += 1
-            return ex
-
-        if name in ("blt", "bge"):
-            want_lt = name == "blt"
-
-            def ex() -> None:
-                pc = m.pc
-                lt = (regs[rs1] ^ _SIGN) < (regs[rs2] ^ _SIGN)
-                if lt == want_lt:
-                    npc = (pc + imm_w) & MASK
-                else:
-                    npc = (pc + 4) & MASK
-                if npc & 3:
-                    raise RiscvUB("misaligned jump target 0x%x" % npc)
-                m.pc = npc
-                m.instret += 1
-            return ex
-
-        if name == "lui":
-            value = (imm << 12) & MASK
-            if rd == 0:
-                return advance
-
-            def ex() -> None:
-                regs[rd] = value
-                npc = (m.pc + 4) & MASK
-                if npc & 3:
-                    raise RiscvUB("misaligned jump target 0x%x" % npc)
-                m.pc = npc
-                m.instret += 1
-            return ex
-
-        if name == "auipc":
-            offset = (imm << 12) & MASK
-            if rd == 0:
-                return advance
-
-            def ex() -> None:
-                pc = m.pc
-                regs[rd] = (pc + offset) & MASK
-                npc = (pc + 4) & MASK
-                if npc & 3:
-                    raise RiscvUB("misaligned jump target 0x%x" % npc)
-                m.pc = npc
-                m.instret += 1
-            return ex
-
-        if name == "jal":
-            def ex() -> None:
-                pc = m.pc
-                if rd:
-                    regs[rd] = (pc + 4) & MASK
-                npc = (pc + imm_w) & MASK
-                if npc & 3:
-                    raise RiscvUB("misaligned jump target 0x%x" % npc)
-                m.pc = npc
-                m.instret += 1
-            return ex
-
-        if name == "jalr":
-            def ex() -> None:
-                pc = m.pc
-                target = (regs[rs1] + imm_w) & 0xFFFFFFFE
-                if rd:
-                    regs[rd] = (pc + 4) & MASK
-                if target & 3:
-                    raise RiscvUB("misaligned jump target 0x%x" % target)
-                m.pc = target
-                m.instret += 1
-            return ex
-
-        # `decode` only produces the mnemonics handled above; anything
-        # else is a decoder extension this engine does not know yet.
-        raise RiscvUB("unimplemented instruction %r" % name)
-
-    # -- basic blocks ---------------------------------------------------------
+        ram = self.mem.ram
+        off = start - self.mem.ram_base
+        for raw, block in variants.items():
+            end = off + len(raw)
+            if 0 <= off and end <= len(ram) and ram[off:end] == raw:
+                if m.loans or (m.track_xaddrs and not m.nonexec.isdisjoint(
+                        range(start, start + len(raw)))):
+                    return None
+                return block
+        return None
 
     def build_block(self, start: int) -> Block:
         """Fetch (with full reference UB checks) and fuse a straight-line
-        block starting at ``start``.
+        block starting at ``start``; admit it to the table if it ended by
+        rule.
 
         A fetch or decode failure *after* the first instruction truncates
         the block instead of raising: the reference only faults when
@@ -481,43 +459,36 @@ class FastEngine:
         time with the right message.
         """
         m = self.machine
-        code: List[Callable[[], None]] = []
+        code: List[Executor] = []
+        words: List[int] = []
         pc = start
         while True:
             try:
                 raw = m.load(4, pc, kind="fetch")
-                entry = self.entry_for(raw, pc)
+                ex = executor(raw, pc)
             except RiscvUB:
                 if not code:
                     raise
-                break
-            code.append(entry.ex)
-            if entry.ends_block or len(code) >= MAX_BLOCK:
+                # Cut short: another machine may fetch more here.
+                return Block(start, code, words)
+            code.append(ex)
+            words.append(raw)
+            if (decode_cached(raw).name in ENDS_BLOCK
+                    or len(code) >= MAX_BLOCK):
                 break
             pc = (pc + 4) & MASK
-        pages = range(start >> PAGE_SHIFT,
-                      ((start + 4 * len(code) - 1) >> PAGE_SHIFT) + 1)
-        block = Block(start, code, pages)
-        self.blocks[start] = block
-        for p in pages:
-            self.code_pages.setdefault(p, set()).add(start)
-        _BLOCKS_BUILT.inc()
-        _BLOCK_LEN.record(len(code))
+        block = Block(start, code, words)
+        _admit(block)
         return block
 
     def invalidate(self, addr: int, nbytes: int) -> None:
-        """Drop every cached block on the code pages touched by a store
-        to [addr, addr+nbytes); bumps the generation counter so in-flight
-        fused execution re-dispatches through a reference fetch."""
-        lo = addr >> PAGE_SHIFT
-        hi = (addr + nbytes - 1) >> PAGE_SHIFT
+        """Drop every block of this machine on the code pages touched by a
+        store to [addr, addr+nbytes); bumps the generation counter."""
         hit = False
-        for p in range(lo, hi + 1):
-            starts = self.code_pages.get(p)
-            if not starts:
-                continue
-            hit = True
-            for s in tuple(starts):
+        for p in range(addr >> PAGE_SHIFT,
+                       ((addr + nbytes - 1) >> PAGE_SHIFT) + 1):
+            for s in tuple(self.code_pages.get(p, ())):
+                hit = True
                 block = self.blocks.pop(s, None)
                 if block is None:
                     continue
@@ -532,8 +503,9 @@ class FastEngine:
             self.gen += 1
 
     def flush(self) -> None:
-        """Invalidate every cached block (ownership or memory changed
-        behind the engine's back: DMA loans, sparse writes, test pokes)."""
+        """Invalidate every block of this machine (ownership or memory
+        changed behind the engine's back: DMA loans, sparse writes, test
+        pokes)."""
         self.blocks.clear()
         self.code_pages.clear()
         self.gen += 1
@@ -550,37 +522,44 @@ class FastEngine:
         without a stop predicate. Returns the number of steps taken."""
         self._sync()
         m = self.machine
+        regs = m.regs
         blocks = self.blocks
+        pc = m.pc
         taken = 0
         dispatches = 0
         try:
-            while taken < max_steps:
-                pc = m.pc
-                if pc == until_pc:
-                    break
+            while taken < max_steps and pc != until_pc:
                 block = blocks.get(pc)
                 if block is None:
-                    block = self.build_block(pc)
+                    block = self.fill(pc)
                 dispatches += 1
                 code = block.code
                 n = block.n
-                budget = max_steps - taken
-                if n > budget:
-                    n = budget
+                if n > max_steps - taken:
+                    n = max_steps - taken
                 if until_pc is not None:
                     d = (until_pc - pc) & MASK
-                    if not d & 3:
-                        stop_at = d >> 2
-                        if stop_at < n:
-                            n = stop_at
-                gen0 = self.gen
+                    if not d & 3 and d >> 2 < n:
+                        n = d >> 2
+                if n < block.n:
+                    code = code[:n]
                 i = 0
-                while i < n:
-                    code[i]()
-                    i += 1
-                    if self.gen != gen0:
-                        break  # a store hit cached code: re-dispatch
+                r = None
+                try:
+                    for ex in code:
+                        r = ex(m, regs)
+                        i += 1
+                        if r is not None:
+                            break
+                except BaseException:
+                    # Leave pc and instret at the faulting instruction.
+                    m.pc = (pc + 4 * i) & MASK
+                    m.instret += i
+                    raise
+                m.instret += i
                 taken += i
+                m.pc = pc = (r if r is not None and r >= 0
+                             else (pc + 4 * i) & MASK)
         finally:
             if dispatches:
                 _BLOCK_RUNS.inc(dispatches)
@@ -588,26 +567,30 @@ class FastEngine:
 
     def run_steps(self, max_steps: int, until_pc: Optional[int] = None,
                   stop=None, counted: bool = False) -> int:
-        """Single-step execution through the decode cache: every step does
-        the full reference fetch (so arbitrary ``stop`` predicates and
-        external memory writes are observed exactly as the reference
-        would), but decode+dispatch cost one dict probe and one call.
-        ``counted`` accumulates per-opcode counts on the cache entries."""
+        """Single-step execution through the shared executors: every step
+        does the full reference fetch (so arbitrary ``stop`` predicates
+        and external memory writes are observed exactly as the reference
+        would). ``counted`` adds per-opcode counts to the `riscv.op.*`
+        counters."""
         m = self.machine
-        dcache = self.dcache
+        regs = m.regs
+        counts: Dict[int, int] = {}
         taken = 0
-        while taken < max_steps:
-            pc = m.pc
-            if pc == until_pc:
-                break
-            if stop is not None and stop(m):
-                break
-            raw = m.load(4, pc, kind="fetch")
-            entry = dcache.get(raw)
-            if entry is None:
-                entry = self.entry_for(raw, pc)
-            entry.ex()
-            if counted:
-                entry.count += 1
-            taken += 1
+        try:
+            while taken < max_steps:
+                pc = m.pc
+                if pc == until_pc:
+                    break
+                if stop is not None and stop(m):
+                    break
+                raw = m.load(4, pc, kind="fetch")
+                r = executor(raw, pc)(m, regs)
+                m.pc = (pc + 4) & MASK if r is None or r < 0 else r
+                m.instret += 1
+                if counted:
+                    counts[raw] = counts.get(raw, 0) + 1
+                taken += 1
+        finally:
+            for raw, n in counts.items():
+                obs.counter("riscv.op." + decode_cached(raw).name).inc(n)
         return taken

@@ -110,7 +110,7 @@ class RiscvMachine(Primitives):
         # x2/sp. Starts at the all-ones word (sp unset); the static WCET
         # analyzer's stack bound is checked against `stack_top - sp_min`.
         self.sp_min = word.MASK
-        # Fast-path execution (repro.riscv.fastpath): decode cache +
+        # Fast-path execution (repro.riscv.fastpath): shared executors +
         # fused basic blocks, required to be bit-identical to `step`.
         # The engine is created lazily so `with_program` can swap the
         # memory in first.
@@ -260,8 +260,8 @@ class RiscvMachine(Primitives):
         """The lazily created fast-path engine (`repro.riscv.fastpath`).
 
         Rebuilt when the memory object was swapped out after construction
-        (`with_program` does this), since the engine's executor closures
-        bind the RAM buffer directly."""
+        (`with_program` does this), since the engine's block map describes
+        the memory it was built from."""
         engine = self._fast_engine
         if engine is None or engine.mem is not self.mem:
             from .fastpath import FastEngine  # deferred: cyclic import
@@ -305,10 +305,10 @@ class RiscvMachine(Primitives):
                           = None) -> int:
         """`run` with a span and per-opcode execution counts (obs enabled).
 
-        On a ``fast`` machine the per-opcode counts live on the decode
-        cache entries -- one integer add per step instead of a dict
-        get/put -- and are flushed to the ``riscv.op.*`` counters at run
-        boundaries, so instrumented runs stay near fast-path speed."""
+        On a ``fast`` machine the engine single-steps its shared
+        executors and counts per instruction word, flushing to the
+        ``riscv.op.*`` counters when the run ends, so instrumented runs
+        stay near fast-path speed."""
         start = self.instret
         taken = max_steps
         with obs.span("riscv.run", cat="riscv",
@@ -323,7 +323,6 @@ class RiscvMachine(Primitives):
                     _INSTRUCTIONS.inc(retired)
                     _SP_MIN.set(self.sp_min)
                     sp.set("instructions", retired)
-                    engine.flush_opcounts()
                 return taken
             opcounts: Dict[str, int] = {}
             try:
