@@ -1,4 +1,4 @@
-"""Static analysis over Bedrock2 programs (and the compiler's flat IR).
+"""Static analysis over Bedrock2 programs and their compiled images.
 
 A lightweight abstract-interpretation layer that runs *before* symbolic
 execution: where `repro.bedrock2.vcgen` explores paths and discharges
@@ -8,11 +8,15 @@ store dead, is any branch unreachable, does every external call respect
 the platform's `extspec` -- and prescreens verification conditions so
 that abstractly-provable obligations never reach the solver.
 
-Layout (Figure-3 discipline: depends on bedrock2/compiler/riscv/logic,
+The Bedrock2 AST is the one structured IR this package reads; the
+compiler's intermediate FlatImp stays private to `repro.compiler`, and
+the binary layer validates the compiled image against the source.
+
+Layout (Figure-3 discipline: depends on bedrock2/kami/riscv/logic,
 never the reverse -- vcgen receives the prescreener by injection):
 
 * `repro.analysis.dataflow` -- the generic forward/backward walkers over
-  the Bedrock2 AST and FlatImp;
+  the Bedrock2 AST, and a worklist fixpoint over explicit CFGs;
 * `repro.analysis.domains`  -- abstract domains: definite assignment,
   words as `repro.logic.intervals.AbstractWord` intervals ∧ known bits,
   and the MMIO/chip-select protocol domain;

@@ -79,12 +79,12 @@ from typing import (
 )
 
 from .. import obs
-from ..compiler.flatimp import FInteract, FStmt, FStore
+from ..bedrock2.ast_ import Cmd, Expr, Program, SInteract, SStore
 from ..logic.intervals import MASK, WIDTH, AbstractWord, word_binop
 from ..riscv.disasm import format_instr, reg
 from ..riscv.insts import B_TYPE, I_ARITH, I_SHIFT, R_TYPE, Instr
 from .cfg import RA, SP, BasicBlock, BinaryCFG, BinFunction, recover_cfg
-from .dataflow import AbstractDomain, run_cfg, run_flat
+from .dataflow import AbstractDomain, run_cfg, run_cmd
 from .domains import WordDomain, WordState
 from .lint import Diagnostic
 
@@ -810,16 +810,16 @@ def lint_compiled(compiled: "_Compiled",
 
 class _EveryPathWordDomain(WordDomain):
     """`WordDomain` that never prunes a branch, so the source walk
-    visits exactly the statements the code generator emitted -- the
-    site-pairing invariant TV relies on."""
+    visits every store the code generator emits -- the site-pairing
+    invariant TV relies on."""
 
-    def decide(self, state: WordState, cond: object) -> Optional[bool]:
+    def decide(self, state: WordState, cond: Expr) -> Optional[bool]:
         return None
 
 
-def _source_store_facts(body: Sequence[FStmt]
-                        ) -> List[Tuple[int, AbstractWord]]:
-    """(size, abstract stored value) per store site, in emission order."""
+def _source_store_facts(body: Cmd) -> List[Tuple[int, AbstractWord]]:
+    """(size, abstract stored value) per source store site, in program
+    order -- the order flattening keeps and the code generator emits."""
     dom = _EveryPathWordDomain()
     facts: List[Tuple[int, AbstractWord]] = []
 
@@ -827,13 +827,13 @@ def _source_store_facts(body: Sequence[FStmt]
         if event != "stmt":
             return
         assert isinstance(state, dict)
-        if isinstance(node, FStore):
-            facts.append((node.size, dom.get(state, node.value)))
-        elif (isinstance(node, FInteract) and node.action == "MMIOWRITE"
+        if isinstance(node, SStore):
+            facts.append((node.size, dom.eval(node.value, state)))
+        elif (isinstance(node, SInteract) and node.action == "MMIOWRITE"
                 and len(node.args) == 2):
-            facts.append((4, dom.get(state, node.args[1])))
+            facts.append((4, dom.eval(node.args[1], state)))
 
-    run_flat(body, dom, {}, visit)
+    run_cmd(body, dom, {}, visit)
     return facts
 
 
@@ -846,7 +846,7 @@ def _compatible(src: AbstractWord, binv: AbstractWord) -> bool:
     return True
 
 
-def translation_validate(program: object, compiled: "_Compiled",
+def translation_validate(program: Program, compiled: "_Compiled",
                          config: BinaryLintConfig,
                          frame_sizes: Optional[Mapping[str, int]] = None,
                          analyses: Optional[
@@ -859,23 +859,22 @@ def translation_validate(program: object, compiled: "_Compiled",
     bookkeeping) must be compatible -- non-empty intersection -- with
     the abstract value of the corresponding source store, and the store
     sites must pair up one-to-one in order. Any mismatch is a B2A108:
-    the compiler changed what the program writes.
+    the compiler changed what the program writes. The source facts come
+    from the Bedrock2 program itself, so every phase -- flattening,
+    register allocation, code generation -- is under validation.
     """
-    from ..compiler.flatten import flatten_program
-
-    flat = flatten_program(program)
     if analyses is None:
         analyses = analyze_image(compiled.image, compiled.symbols, config)
     if frame_sizes is None:
         frame_sizes = getattr(compiled, "frame_sizes", {}) or {}
     findings: List[Diagnostic] = []
-    for fname, ffn in flat.items():
+    for fname, fn in program.items():
         analysis = analyses.get("func." + fname)
         if analysis is None:
             continue
         if frame_sizes.get(fname, 0) >= _NEAR_FRAME_LIMIT:
             continue  # far-path frame addressing; see module docstring
-        src = _source_store_facts(ffn.body)
+        src = _source_store_facts(fn.body)
         binf = analysis.stores
         if len(src) != len(binf):
             findings.append(Diagnostic(
@@ -904,7 +903,7 @@ def translation_validate(program: object, compiled: "_Compiled",
     return out
 
 
-def lint_binary_program(program: object, compiled: "_Compiled",
+def lint_binary_program(program: Program, compiled: "_Compiled",
                         config: BinaryLintConfig) -> List[Diagnostic]:
     """The full binary lint: abstract-interpretation checks plus
     translation validation against the source."""

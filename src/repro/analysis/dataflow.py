@@ -1,13 +1,13 @@
-"""Generic dataflow walkers over the Bedrock2 AST and the flat IR.
+"""Generic dataflow walkers over the Bedrock2 AST and explicit CFGs.
 
-Forward analyses plug an `AbstractDomain` into `run_cmd` (Bedrock2 AST)
-or `run_flat` (FlatImp): the walker owns control flow -- sequencing,
-branch joins, loop fixpoints with widening -- while the domain owns the
-meaning of states. Analyses observe the program through a visitor
-callback that receives each statement with its in-state; during loop
-fixpoint iteration the visitor is muted, and once the loop stabilizes
-the body is re-walked with the visitor attached, so every statement is
-reported exactly once under its weakest (stabilized) in-state.
+Forward analyses plug an `AbstractDomain` into `run_cmd`: the walker
+owns control flow -- sequencing, branch joins, loop fixpoints with
+widening -- while the domain owns the meaning of states. Analyses
+observe the program through a visitor callback that receives each
+statement with its in-state; during loop fixpoint iteration the visitor
+is muted, and once the loop stabilizes the body is re-walked with the
+visitor attached, so every statement is reported exactly once under its
+weakest (stabilized) in-state.
 
 Analyses over an *explicit* control-flow graph (the binary-level
 abstract interpreter in `binlint.py`, whose control flow is recovered
@@ -17,8 +17,8 @@ block's in-state to one out-state per successor, so branch refinement
 and infeasible-edge pruning live in the client.
 
 Backward liveness is structural rather than domain-parameterized
-(`liveness_cmd` / `liveness_flat`): the only client is the dead-store
-check, which needs the live-after set at every assignment.
+(`liveness_cmd`): the only client is the dead-store check, which needs
+the live-after set at every assignment.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import (
     Hashable,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     TypeVar,
 )
@@ -50,19 +49,6 @@ from ..bedrock2.ast_ import (
     SStore,
     SWhile,
     expr_vars,
-)
-from ..compiler.flatimp import (
-    FCall,
-    FIf,
-    FInteract,
-    FLoad,
-    FOp,
-    FSetLit,
-    FSetVar,
-    FStackalloc,
-    FStmt,
-    FStore,
-    FWhile,
 )
 
 S = TypeVar("S")
@@ -100,12 +86,12 @@ class AbstractDomain(Generic[S]):
         interact, stackalloc-binding); control flow never reaches here."""
         raise NotImplementedError
 
-    def assume(self, state: S, cond: object, taken: bool) -> S:
+    def assume(self, state: S, cond: Expr, taken: bool) -> S:
         """Refine ``state`` with the branch condition's truth; default
         no-op."""
         return state
 
-    def decide(self, state: S, cond: object) -> Optional[bool]:
+    def decide(self, state: S, cond: Expr) -> Optional[bool]:
         """Constant-fold a branch condition in the abstract state; None
         when undecided. Drives unreachable-branch detection."""
         return None
@@ -231,66 +217,6 @@ def run_cfg(entry: B, entry_state: S, transfer: "CfgTransfer[B, S]",
 
 
 # ---------------------------------------------------------------------------
-# Forward walker, FlatImp
-
-
-def run_flat(stmts: Sequence[FStmt], dom: AbstractDomain[S], state: S,
-             visit: Optional[Visitor] = None) -> S:
-    """FlatImp counterpart of `run_cmd` over a statement tuple."""
-    for stmt in stmts:
-        state = _run_flat_stmt(stmt, dom, state, visit)
-    return state
-
-
-def _run_flat_stmt(stmt: FStmt, dom: AbstractDomain[S], state: S,
-                   visit: Optional[Visitor]) -> S:
-    if isinstance(stmt, FIf):
-        if visit is not None:
-            visit("stmt", stmt, state)
-        decided = dom.decide(state, stmt.cond)
-        if decided is True:
-            if visit is not None:
-                visit("dead-branch", (stmt, "else"), state)
-            return run_flat(stmt.then_, dom,
-                            dom.assume(state, stmt.cond, True), visit)
-        if decided is False:
-            if visit is not None:
-                visit("dead-branch", (stmt, "then"), state)
-            return run_flat(stmt.else_, dom,
-                            dom.assume(state, stmt.cond, False), visit)
-        then_out = run_flat(stmt.then_, dom,
-                            dom.assume(state, stmt.cond, True), visit)
-        else_out = run_flat(stmt.else_, dom,
-                            dom.assume(state, stmt.cond, False), visit)
-        return dom.join(then_out, else_out)
-    if isinstance(stmt, FWhile):
-        if visit is not None:
-            visit("stmt", stmt, state)
-
-        def one_iteration(h: S) -> S:
-            after_cond = run_flat(stmt.cond_stmts, dom, h, None)
-            return run_flat(stmt.body, dom,
-                            dom.assume(after_cond, stmt.cond_var, True), None)
-
-        head = _loop_fixpoint(state, dom, one_iteration)
-        after_cond = run_flat(stmt.cond_stmts, dom, head, visit)
-        if dom.decide(after_cond, stmt.cond_var) is False:
-            if visit is not None:
-                visit("dead-branch", (stmt, "body"), state)
-        elif visit is not None:
-            run_flat(stmt.body, dom,
-                     dom.assume(after_cond, stmt.cond_var, True), visit)
-        return dom.assume(after_cond, stmt.cond_var, False)
-    if isinstance(stmt, FStackalloc):
-        if visit is not None:
-            visit("stmt", stmt, state)
-        return run_flat(stmt.body, dom, dom.transfer(stmt, state), visit)
-    if visit is not None:
-        visit("stmt", stmt, state)
-    return dom.transfer(stmt, state)
-
-
-# ---------------------------------------------------------------------------
 # Backward liveness, Bedrock2 AST
 
 Live = FrozenSet[str]
@@ -349,65 +275,6 @@ def liveness_cmd(cmd: Cmd, live_out: Live,
             live |= _vars(arg)
         return live
     raise TypeError("not a command: %r" % (cmd,))
-
-
-# ---------------------------------------------------------------------------
-# Backward liveness, FlatImp
-
-
-def liveness_flat(stmts: Sequence[FStmt], live_out: Live,
-                  on_dead: Optional[OnDead] = None) -> Live:
-    """FlatImp counterpart of `liveness_cmd`; reports dead `FSetLit` /
-    `FSetVar` / `FOp` / `FLoad` destinations."""
-    live = live_out
-    for stmt in reversed(stmts):
-        live = _liveness_flat_stmt(stmt, live, on_dead)
-    return live
-
-
-def _liveness_flat_stmt(stmt: FStmt, live_out: Live,
-                        on_dead: Optional[OnDead]) -> Live:
-    if isinstance(stmt, FSetLit):
-        if on_dead is not None and stmt.dst not in live_out:
-            on_dead(stmt, live_out)
-        return live_out - {stmt.dst}
-    if isinstance(stmt, FSetVar):
-        if on_dead is not None and stmt.dst not in live_out:
-            on_dead(stmt, live_out)
-        return (live_out - {stmt.dst}) | {stmt.src}
-    if isinstance(stmt, FOp):
-        if on_dead is not None and stmt.dst not in live_out:
-            on_dead(stmt, live_out)
-        return (live_out - {stmt.dst}) | {stmt.lhs, stmt.rhs}
-    if isinstance(stmt, FLoad):
-        # A dead load is still a memory access (it can fault); report it
-        # like a dead store but keep the address live.
-        if on_dead is not None and stmt.dst not in live_out:
-            on_dead(stmt, live_out)
-        return (live_out - {stmt.dst}) | {stmt.addr}
-    if isinstance(stmt, FStore):
-        return live_out | {stmt.addr, stmt.value}
-    if isinstance(stmt, FStackalloc):
-        inner = liveness_flat(stmt.body, live_out, on_dead)
-        return inner - {stmt.dst}
-    if isinstance(stmt, FIf):
-        then_in = liveness_flat(stmt.then_, live_out, on_dead)
-        else_in = liveness_flat(stmt.else_, live_out, on_dead)
-        return then_in | else_in | {stmt.cond}
-    if isinstance(stmt, FWhile):
-        head = live_out | {stmt.cond_var}
-        for _ in range(MAX_ITERATIONS):
-            body_in = liveness_flat(stmt.body, head, None)
-            grown = head | liveness_flat(stmt.cond_stmts,
-                                         head | body_in, None)
-            if grown == head:
-                break
-            head = grown
-        body_in = liveness_flat(stmt.body, head, on_dead)
-        return liveness_flat(stmt.cond_stmts, head | body_in, on_dead)
-    if isinstance(stmt, (FCall, FInteract)):
-        return (live_out - frozenset(stmt.binds)) | frozenset(stmt.args)
-    raise TypeError("not a FlatImp statement: %r" % (stmt,))
 
 
 def node_loc(node: object) -> Optional[Tuple[str, int]]:

@@ -14,8 +14,9 @@ Three domains, each an `repro.analysis.dataflow.AbstractDomain`:
   protocol position (chip-select acquire/release pairing); powers the
   call-order checks.
 
-All domains understand both the Bedrock2 AST and FlatImp statements, so
-either IR can be analyzed with the same objects.
+Every domain reads Bedrock2 AST statements and expressions, the one
+structured IR `repro.analysis` analyzes; the compiler's FlatImp is its
+private IR.
 """
 
 from __future__ import annotations
@@ -33,15 +34,6 @@ from ..bedrock2.ast_ import (
     SInteract,
     SSet,
     SStackalloc,
-)
-from ..compiler.flatimp import (
-    FCall,
-    FInteract,
-    FLoad,
-    FOp,
-    FSetLit,
-    FSetVar,
-    FStackalloc,
 )
 from ..logic.intervals import MASK, WIDTH, AbstractWord, KnownBits, word_binop
 from .dataflow import AbstractDomain
@@ -62,10 +54,8 @@ class DefiniteAssignmentDomain(AbstractDomain[FrozenSet[str]]):
             return state | {stmt.name}
         if isinstance(stmt, SStackalloc):
             return state | {stmt.name}
-        if isinstance(stmt, (SCall, SInteract, FCall, FInteract)):
+        if isinstance(stmt, (SCall, SInteract)):
             return state | frozenset(stmt.binds)
-        if isinstance(stmt, (FSetLit, FSetVar, FOp, FLoad, FStackalloc)):
-            return state | {stmt.dst}
         return state
 
 
@@ -128,69 +118,38 @@ class WordDomain(AbstractDomain[WordState]):
             out[stmt.name] = AbstractWord(0, MASK,
                                           KnownBits(WIDTH, 3, 0))
             return out
-        if isinstance(stmt, (SCall, SInteract, FCall, FInteract)):
+        if isinstance(stmt, (SCall, SInteract)):
             out = dict(state)
             for name in stmt.binds:
                 out[name] = AbstractWord.top()
             return out
-        if isinstance(stmt, FSetLit):
-            out = dict(state)
-            out[stmt.dst] = AbstractWord.const(stmt.value)
-            return out
-        if isinstance(stmt, FSetVar):
-            out = dict(state)
-            out[stmt.dst] = self.get(state, stmt.src)
-            return out
-        if isinstance(stmt, FOp):
-            out = dict(state)
-            out[stmt.dst] = _binop(stmt.op, self.get(state, stmt.lhs),
-                                   self.get(state, stmt.rhs))
-            return out
-        if isinstance(stmt, FLoad):
-            out = dict(state)
-            out[stmt.dst] = AbstractWord(0, (1 << (8 * stmt.size)) - 1)
-            return out
-        if isinstance(stmt, FStackalloc):
-            out = dict(state)
-            out[stmt.dst] = AbstractWord(0, MASK, KnownBits(WIDTH, 3, 0))
-            return out
-        return state  # SStore / FStore: locals unchanged
+        return state  # SStore: locals unchanged
 
-    def _cond_value(self, cond: object, state: WordState) -> AbstractWord:
-        if isinstance(cond, str):  # FlatImp condition variable
-            return self.get(state, cond)
-        return self.eval(cond, state)
-
-    def decide(self, state: WordState, cond: object) -> Optional[bool]:
-        value = self._cond_value(cond, state)
+    def decide(self, state: WordState, cond: Expr) -> Optional[bool]:
+        value = self.eval(cond, state)
         if value.hi == 0:
             return False
         if value.lo >= 1:
             return True
         return None
 
-    def assume(self, state: WordState, cond: object,
+    def assume(self, state: WordState, cond: Expr,
                taken: bool) -> WordState:
         out = dict(state)
         self._refine(cond, taken, out)
         return out
 
-    def _refine(self, cond: object, taken: bool, state: WordState) -> None:
+    def _refine(self, cond: Expr, taken: bool, state: WordState) -> None:
         """Narrow variable ranges using the branch condition. Sound: only
         shrinks the abstraction of executions that actually take the
         branch."""
-        name = None
-        if isinstance(cond, str):
-            name = cond
-        elif isinstance(cond, EVar):
-            name = cond.name
-        if name is not None:
-            current = self.get(state, name)
+        if isinstance(cond, EVar):
+            current = self.get(state, cond.name)
             if not taken:
-                state[name] = AbstractWord.const(0)
+                state[cond.name] = AbstractWord.const(0)
             elif current.lo == 0:
-                state[name] = AbstractWord(1, max(current.hi, 1),
-                                           current.bits)
+                state[cond.name] = AbstractWord(1, max(current.hi, 1),
+                                                current.bits)
             return
         if not isinstance(cond, EOp):
             return

@@ -44,24 +44,8 @@ from ..bedrock2.ast_ import (
     SWhile,
     expr_vars,
 )
-from ..compiler.flatimp import (
-    FCall,
-    FFunction,
-    FIf,
-    FInteract,
-    FLoad,
-    FOp,
-    FSetVar,
-    FStore,
-)
 from ..logic.intervals import AbstractWord
-from .dataflow import (
-    liveness_cmd,
-    liveness_flat,
-    node_loc,
-    run_cmd,
-    run_flat,
-)
+from .dataflow import liveness_cmd, node_loc, run_cmd
 from .domains import (
     HELD,
     RELEASED,
@@ -322,60 +306,6 @@ def lint_program(program: Program, config: Optional[LintConfig] = None,
         for name in program:
             out.extend(lint_function(program[name], config))
     _FINDINGS.inc(len(out))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# FlatImp
-
-
-def lint_flat_function(fn: FFunction) -> List[Diagnostic]:
-    """Definite-assignment and dead-store checks over one FlatImp
-    function -- the compiler-IR face of the same framework (interval and
-    protocol checks are source-level concerns; flattening is checked by
-    differential testing)."""
-    out: List[Diagnostic] = []
-    dom = DefiniteAssignmentDomain()
-    reported = set()
-
-    def visit(event: str, node: object, state: object) -> None:
-        if event != "stmt":
-            return
-        uses: List[str] = []
-        if isinstance(node, FSetVar):
-            uses = [node.src]
-        elif isinstance(node, FOp):
-            uses = [node.lhs, node.rhs]
-        elif isinstance(node, FLoad):
-            uses = [node.addr]
-        elif isinstance(node, FStore):
-            uses = [node.addr, node.value]
-        elif isinstance(node, (FCall, FInteract)):
-            uses = list(node.args)
-        elif isinstance(node, FIf):
-            uses = [node.cond]
-        # FWhile's condition variable is assigned by its cond_stmts,
-        # which are themselves visited; no direct use to check here.
-        for name in uses:
-            if name not in state and name not in reported:
-                reported.add(name)
-                out.append(Diagnostic(
-                    "B2A001", fn.name,
-                    "variable %r may be used before assignment" % name))
-
-    exit_state = run_flat(fn.body, dom, frozenset(fn.params), visit)
-    for name in fn.rets:
-        if name not in exit_state:
-            out.append(Diagnostic(
-                "B2A001", fn.name,
-                "return variable %r may be unassigned at exit" % name))
-
-    def on_dead(stmt: object, live_after: object) -> None:
-        out.append(Diagnostic(
-            "B2A002", fn.name,
-            "dead store to %r (value never read)" % stmt.dst))
-
-    liveness_flat(fn.body, frozenset(fn.rets), on_dead)
     return out
 
 

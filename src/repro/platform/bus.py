@@ -9,7 +9,7 @@ what allowed the authors to test hardware and software separately.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from .. import obs
 
@@ -19,16 +19,17 @@ from .. import obs
 _BUS_READS = obs.counter("platform.bus_reads")
 _BUS_WRITES = obs.counter("platform.bus_writes")
 
-# FE310-compatible memory map (section 5.1).
+# FE310-compatible memory map (section 5.1). Immutable: a device outside
+# it (the DMA engine) is decoded by the bus that holds it, not added here.
 GPIO_BASE = 0x10012000
 GPIO_SIZE = 0x1000
 SPI_BASE = 0x10024000
 SPI_SIZE = 0x1000
 
-MMIO_RANGES: List[Tuple[int, int]] = [
+MMIO_RANGES: Tuple[Tuple[int, int], ...] = (
     (GPIO_BASE, GPIO_BASE + GPIO_SIZE),
     (SPI_BASE, SPI_BASE + SPI_SIZE),
-]
+)
 
 
 class Device:
@@ -50,20 +51,28 @@ class Device:
 class MMIOBus:
     """Routes word-aligned MMIO reads/writes to devices.
 
-    Reads from unmapped-but-in-range addresses return 0 and writes are
-    dropped, like a bus with no slave response check -- the *software* is
-    what is verified never to touch undefined registers."""
+    The bus decodes the FE310 map plus the range of each device it holds
+    that lies outside the map. Reads from unmapped-but-in-range addresses
+    return 0 and writes are dropped, like a bus with no slave response
+    check -- the *software* is what is verified never to touch undefined
+    registers."""
 
-    def __init__(self, devices=()):
-        self.devices = list(devices)
+    def __init__(self, devices: Iterable[Device] = ()):
+        self.devices: List[Device] = []
+        self.ranges: Tuple[Tuple[int, int], ...] = MMIO_RANGES
+        for device in devices:
+            self.attach(device)
 
     def attach(self, device: Device) -> None:
         self.devices.append(device)
+        lo, hi = device.base, device.base + device.size
+        if not any(blo <= lo and hi <= bhi for blo, bhi in self.ranges):
+            self.ranges += ((lo, hi),)
 
     def is_mmio(self, addr: int) -> bool:
         # A plain loop, not any() over a generator: this runs on every
-        # non-RAM access. `platform/dma.py` appends a range on import.
-        for lo, hi in MMIO_RANGES:
+        # non-RAM access.
+        for lo, hi in self.ranges:
             if lo <= addr < hi:
                 return True
         return False

@@ -21,7 +21,6 @@ language specifies it -- see `dma_transfer_spec`.
 
 from __future__ import annotations
 
-from .bus import MMIO_RANGES as _RANGES
 from .bus import Device
 
 DMA_BASE = 0x10030000
@@ -35,10 +34,6 @@ DMA_STATUS = 0x10
 
 STATUS_BUSY = 1
 STATUS_IDLE = 0
-
-# Extend the platform MMIO map with the DMA engine's range.
-if (DMA_BASE, DMA_BASE + DMA_SIZE) not in _RANGES:
-    _RANGES.append((DMA_BASE, DMA_BASE + DMA_SIZE))
 
 
 class DmaEngine(Device):

@@ -91,13 +91,11 @@ class RiscvMachine(Primitives):
 
     def __init__(self, memory: Optional[Dict[int, int]] = None, pc: int = 0,
                  mmio_bus=None, track_xaddrs: bool = True,
-                 mmio_ranges: Optional[List[Tuple[int, int]]] = None,
                  fast: bool = False):
         self.regs = [0] * 32
         self.pc = pc
         self.mem = MachineMemory(sparse=memory)
         self.mmio_bus = mmio_bus
-        self.mmio_ranges = mmio_ranges
         self.trace: List[Tuple[str, int, int]] = []
         self.track_xaddrs = track_xaddrs
         # XAddrs = owned memory minus this set (paper section 5.6).
@@ -186,11 +184,7 @@ class RiscvMachine(Primitives):
         raise ValueError("no outstanding loan at 0x%x" % base)
 
     def _is_mmio(self, addr: int) -> bool:
-        if self.mmio_bus is not None:
-            return self.mmio_bus.is_mmio(addr)
-        if self.mmio_ranges is not None:
-            return any(lo <= addr < hi for lo, hi in self.mmio_ranges)
-        return False
+        return self.mmio_bus is not None and self.mmio_bus.is_mmio(addr)
 
     def load(self, nbytes: int, addr: int, kind: str = "execute") -> int:
         if kind == "fetch":
@@ -207,10 +201,7 @@ class RiscvMachine(Primitives):
             return self._load_owned(addr, nbytes)
         # Nonmemory load (section 6.2): MMIO if in range, else UB.
         if self._is_mmio(addr) and nbytes == 4:
-            if self.mmio_bus is not None:
-                value = self.mmio_bus.read(addr) & word.MASK
-            else:
-                value = 0
+            value = self.mmio_bus.read(addr) & word.MASK
             self.trace.append(("ld", addr, value))
             _MMIO_LOADS.inc()
             return value
@@ -231,8 +222,7 @@ class RiscvMachine(Primitives):
                     self.nonexec.add(a)
             return
         if self._is_mmio(addr) and nbytes == 4:
-            if self.mmio_bus is not None:
-                self.mmio_bus.write(addr, value)
+            self.mmio_bus.write(addr, value)
             self.trace.append(("st", addr, value))
             _MMIO_STORES.inc()
             return

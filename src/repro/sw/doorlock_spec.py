@@ -105,4 +105,4 @@ def good_lock_trace(pin: int) -> TracePred:
         recv_unauthorized(pin),
         S.poll_none(),
         S.device_fail(),
-    ))
+    ) + S.end_iteration())

@@ -398,8 +398,15 @@ def iteration() -> TracePred:
     )
 
 
+def end_iteration() -> TracePred:
+    """The empty trace, forgetting every value the iteration captured, so
+    the next iteration starts from the same environment whatever frame
+    came before (and the spec automaton's states recur across frames)."""
+    return Bind(lambda env: {}, "end of iteration")
+
+
 @functools.lru_cache(maxsize=None)
 def good_hl_trace() -> TracePred:
     """``goodHlTrace`` (paper section 3.1): the whole system's promise.
     Built once per process, like the compiled images."""
-    return boot_seq() + Star(iteration())
+    return boot_seq() + Star(iteration() + end_iteration())

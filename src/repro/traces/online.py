@@ -81,7 +81,7 @@ from .predicates import (
 #: as `repro.kami.decexec`'s decode memo is: a clear costs re-deriving,
 #: never a verdict. Repeated four-node fleet runs retain about 400 states
 #: of `good_hl_trace` and 330 of `good_lock_trace`, 3.6 KB each, and
-#: an 8-seed adversarial sweep about 1,900.
+#: an 8-seed adversarial sweep about 1,000.
 MAX_STATES = 2048
 MAX_EDGES = 8192
 #: Hashes of states derived once, awaiting a second derivation.

@@ -1,7 +1,7 @@
 """The static analyzer: seeded-defect fixtures are each caught with
 their documented diagnostic code, shipped programs lint clean (the CI
-gate), the FlatImp face of the framework agrees, and the interval /
-known-bits lattices are sound against the concrete word semantics."""
+gate), and the interval / known-bits lattices are sound against the
+concrete word semantics."""
 
 import random
 
@@ -10,7 +10,7 @@ import pytest
 from repro.analysis import LintConfig, lint_program
 from repro.analysis.dataflow import node_loc
 from repro.analysis.domains import CsPairingSpec, _binop
-from repro.analysis.lint import lint_flat_function, lint_function, render_json
+from repro.analysis.lint import lint_function, render_json
 from repro.bedrock2 import word as W
 from repro.bedrock2.builder import (
     block,
@@ -27,7 +27,6 @@ from repro.bedrock2.builder import (
     while_,
 )
 from repro.bedrock2.extspec import MMIOSpec
-from repro.compiler.flatten import flatten_function, flatten_program
 from repro.logic import terms as T
 from repro.logic.intervals import AbstractWord, KnownBits, abstract, decide_bool
 from repro.platform.bus import MMIO_RANGES
@@ -250,31 +249,6 @@ def test_lightbulb_program_lints_clean():
 
 def test_doorlock_program_lints_clean():
     assert lint_program(doorlock_program(), CONFIG) == []
-
-
-# ---------------------------------------------------------------------------
-# FlatImp face of the framework
-
-
-def test_flat_use_before_def_caught():
-    fn = func("f", [], ["r"], set_("r", var("x") + 1))
-    diags = lint_flat_function(flatten_function(fn))
-    assert "B2A001" in codes(diags)
-
-
-def test_flat_dead_store_caught():
-    fn = func("f", [], ["r"],
-              block(set_("x", 1), set_("x", 2), set_("r", var("x"))))
-    diags = lint_flat_function(flatten_function(fn))
-    assert "B2A002" in codes(diags)
-
-
-@pytest.mark.parametrize("program", [lightbulb_program, doorlock_program])
-def test_flattened_shipped_programs_lint_clean(program):
-    # Flattening must not introduce use-before-def or dead temporaries.
-    flat = flatten_program(program())
-    for name in flat:
-        assert lint_flat_function(flat[name]) == [], name
 
 
 # ---------------------------------------------------------------------------

@@ -27,16 +27,17 @@ ALLOWED = {
     "compiler": {"bedrock2", "riscv"},
     "kami": {"bedrock2", "riscv"},
     "platform": {"bedrock2", "riscv", "traces"},
-    # The static analyzer reads programs (AST + flat IR + encoded RV32IM
-    # images, for the binary linter) and reuses the logic layer's
-    # interval/known-bits lattices; nothing below it may import it back
-    # (vcgen consumes the prescreener by injection). The ``kami`` edge
+    # The static analyzer reads programs (the Bedrock2 AST, and encoded
+    # RV32IM images for the binary linter, validated against the AST) and
+    # reuses the logic layer's interval/known-bits lattices; nothing below
+    # it may import it back (vcgen consumes the prescreener by injection),
+    # and it never reads the compiler's private FlatImp. The ``kami`` edge
     # is the WCET cost model's drift check: the price list is calibrated
     # against the pipelined processor, and ``costmodel.py`` re-derives
     # the constants from the live module so a pipeline refactor cannot
     # silently invalidate the bounds (read-only, and kami never imports
     # analysis back).
-    "analysis": {"bedrock2", "compiler", "kami", "logic", "riscv"},
+    "analysis": {"bedrock2", "kami", "logic", "riscv"},
     "sw": {"analysis", "bedrock2", "compiler", "logic", "platform",
            "traces", "riscv"},
     # The differential fuzzer drives every execution layer (and samples

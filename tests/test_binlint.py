@@ -288,6 +288,18 @@ def test_translation_validation_catches_dropped_store():
     assert "count mismatch" in findings[0].message
 
 
+def test_translation_validation_covers_flattening():
+    # The source facts come from the Bedrock2 program, so a store the
+    # flattener drops is caught even while the mutation is active during
+    # the lint too.
+    program = _tv_program()
+    with mutation_context("flatten-drop-store"):
+        compiled = compile_program(program, stack_top=STACK_TOP)
+        findings = lint_binary_program(program, compiled, _fuzz_config())
+    assert [d.code for d in findings] == ["B2A108"]
+    assert "count mismatch" in findings[0].message
+
+
 # -- the two runtime-silent mutations: binlint is the only killer ------------
 
 

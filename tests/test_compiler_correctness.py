@@ -23,7 +23,7 @@ from repro.bedrock2.builder import (
 )
 from repro.bedrock2.semantics import ExtHandler, Memory, UndefinedBehavior, run_function
 from repro.compiler import compile_program, run_compiled
-from repro.compiler.flatten import flatten_program
+from repro.compiler.flatten import flatten_function, flatten_program
 from repro.compiler.flatimp import run_flat_function
 
 
@@ -277,6 +277,14 @@ def test_deep_call_chain_stack_bound():
     # Static bound covers main + 5 frames.
     assert compiled.stack_bound >= sum(
         compiled.frame_sizes["f%d" % i] for i in range(1, 6))
+
+
+def test_flat_interpreter_rejects_unassigned_read():
+    # What keeps a flattening that reads a variable before assigning it
+    # from passing the differential above.
+    fn = func("main", (), ("r",), set_("r", var("x") + 1))
+    with pytest.raises(UndefinedBehavior, match="unbound"):
+        run_flat_function({"main": flatten_function(fn)}, "main", ())
 
 
 def test_recursion_rejected():

@@ -2,6 +2,7 @@
 preserved) and effectiveness (it actually speeds code up) -- §7.2.1's
 "gcc -O3" stand-in."""
 
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,8 @@ from repro.compiler.opt import (
     inline_program, optimize,
 )
 from repro.compiler.pipeline import compile_program, run_compiled
+from repro.sw.doorlock import doorlock_program
+from repro.sw.program import lightbulb_program
 
 
 class Bus:
@@ -116,6 +119,12 @@ def test_dce_drops_dead_code_keeps_effects():
     assert any(isinstance(s, FInteract) for s in body)
     assert not any(getattr(s, "dst", None) == "dead" for s in body)
     check_opt(prog)
+
+
+@pytest.mark.parametrize("program", [lightbulb_program, doorlock_program])
+def test_flattening_adds_no_dead_temporaries(program):
+    flat = flatten_program(program())
+    assert dce_program(flat) == flat
 
 
 def test_inliner_respects_size_limit():

@@ -3,6 +3,10 @@ recorded through the I/O interface. Tests the ownership discipline at the
 ISA level, a Bedrock2 driver for the engine, and the trace specification
 of the transfer protocol."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.bedrock2.builder import (
@@ -92,6 +96,24 @@ DMA_PROGRAM = {
              + (var("e") << 16)),
     )),
 }
+
+
+def test_importing_the_dma_model_leaves_the_platform_map_alone():
+    # A fresh interpreter, since this module has imported the model. The
+    # engine's range is decoded only by a bus that holds the engine.
+    probe = (
+        "from repro.platform.bus import MMIOBus\n"
+        "from repro.sw.verify import platform_mmio_spec\n"
+        "def probe():\n"
+        "    return MMIOBus().is_mmio(0x%x), platform_mmio_spec().ranges\n"
+        "before = probe()\n"
+        "import repro.platform.dma\n"
+        "print(before == probe(), before[0], len(before[1]))\n" % DMA_BASE)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "False", "2"]
 
 
 def test_dma_fill_end_to_end_on_machine():

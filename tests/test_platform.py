@@ -1,7 +1,7 @@
 """Unit tests for the device models: bus, GPIO, SPI, LAN9250, packets."""
 
 
-from repro.platform.bus import GPIO_BASE, MMIOBus, SPI_BASE
+from repro.platform.bus import GPIO_BASE, MMIO_RANGES, MMIOBus, SPI_BASE
 from repro.platform.gpio import GPIO_OUTPUT_EN, GPIO_OUTPUT_VAL, Gpio, LIGHTBULB_PIN
 from repro.platform.lan9250 import (
     BYTE_TEST, BYTE_TEST_VALUE, CMD_FAST_READ, CMD_WRITE, HW_CFG,
@@ -47,6 +47,7 @@ def test_gpio_readback():
 def test_bus_routing_and_ranges():
     gpio = Gpio()
     bus = MMIOBus([gpio])
+    assert bus.ranges == MMIO_RANGES  # a device inside the map adds none
     assert bus.is_mmio(GPIO_BASE)
     assert bus.is_mmio(SPI_BASE)
     assert not bus.is_mmio(0x1000)

@@ -8,7 +8,8 @@ warmed automaton with a cold one -- a freshly built spec's -- on the traces
 the theorem is checked on: adversarial streams, fleet nodes of both apps,
 the spec's failure arms and the buggy driver's violation. They also pin the
 admission rule, and show that neither caps of a few states nor states of
-one hash change a verdict.
+one hash change a verdict, and that a spec iteration leaves no captured
+value behind, so states recur across frames.
 """
 
 import pytest
@@ -209,3 +210,19 @@ def test_states_of_one_hash_are_never_confused(monkeypatch):
             assert _verdict(colliding, trace[:end]) == \
                 _verdict(reference, trace[:end]), end
     assert len(online._automaton(spec).states) == 1
+
+
+def test_iterations_forget_their_captures():
+    # After the bulb acts, an ON run and an OFF run allow the same
+    # future, so they must end in the same configurations: no value
+    # captured from the frame outlives the iteration that read it.
+    def final_state(b):
+        result = run_end_to_end(frames=[(5, lightbulb_packet(b))],
+                                max_units=40_000)
+        assert result.ok and result.bulb_history == [int(b)]
+        checker = OnlineChecker(good_hl_trace())
+        assert checker.check(result.trace)
+        return checker._state
+
+    on, off = final_state(True), final_state(False)
+    assert (on.conts, on.keys) == (off.conts, off.keys)
