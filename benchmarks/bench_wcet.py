@@ -14,7 +14,7 @@ workload, which runs the wcet layer on every program.
 import os
 
 from repro.analysis.binlint import BinaryLintConfig
-from repro.analysis.costmodel import pipeline_cost_model
+from repro.analysis.costmodel import CostModel
 from repro.analysis.wcet import analyze_timing, check_budgets, \
     load_budgets, TimingConfig
 from repro.compiler import compile_program
@@ -39,7 +39,7 @@ def _shipped_workload():
         config = TimingConfig(
             lint=BinaryLintConfig.for_platform(compiled.stack_top,
                                                MMIO_RANGES),
-            model=pipeline_cost_model(strict=False),
+            model=CostModel(),
             loop_bounds=loop_bounds)
         report = analyze_timing(compiled, config)
         findings += report.findings

@@ -117,72 +117,66 @@ def _parse_suppressions(specs):
     return frozenset(out)
 
 
-def _cmd_lint_binary(args) -> list:
-    """``lint --binary``: abstract-interpret + translation-validate the
-    compiled images of the shipped apps."""
-    from .analysis import BinaryLintConfig, lint_binary_program
+def _shipped_apps(app: str) -> list:
+    """(name, program, CompiledProgram) for the shipped apps that
+    ``app`` ("lightbulb", "doorlock" or "all") selects, compile shared."""
     from .core.end2end import DOORLOCK, LIGHTBULB, compiled_image
-    from .platform.bus import MMIO_RANGES
     from .sw.doorlock import doorlock_program
     from .sw.program import lightbulb_program
+
+    programs = {LIGHTBULB: lightbulb_program, DOORLOCK: doorlock_program}
+    return [(name, make(), compiled_image(name))
+            for name, make in programs.items() if app in (name, "all")]
+
+
+def _binary_config(compiled, suppress=frozenset()):
+    """The binary analyses' view of the platform memory map, with the
+    extspec's device ranges cross-checked against the bus's."""
+    from .analysis import BinaryLintConfig
+    from .platform.bus import MMIO_RANGES
     from .sw.verify import platform_mmio_spec
 
-    apps = []
-    if args.app in ("lightbulb", "all"):
-        apps.append((lightbulb_program(), compiled_image(LIGHTBULB)))
-    if args.app in ("doorlock", "all"):
-        apps.append((doorlock_program(), compiled_image(DOORLOCK)))
-    suppress = _parse_suppressions(args.suppress)
-    findings = []
-    for program, compiled in apps:
-        config = BinaryLintConfig.for_platform(
-            compiled.stack_top, MMIO_RANGES,
-            ext_spec=platform_mmio_spec(), suppress=suppress)
-        findings.extend(lint_binary_program(program, compiled, config))
-    return findings
+    return BinaryLintConfig.for_platform(
+        compiled.stack_top, MMIO_RANGES, ext_spec=platform_mmio_spec(),
+        suppress=suppress)
 
 
-def _timing_apps():
-    """(name, CompiledProgram) for the shipped apps, compile shared."""
-    from .core.end2end import DOORLOCK, LIGHTBULB, compiled_image
-
-    return [(kind, compiled_image(kind)) for kind in (LIGHTBULB, DOORLOCK)]
-
-
-def _timing_report_for(compiled, loop_bounds, suppress=frozenset()):
-    from .analysis.binlint import BinaryLintConfig
+def _timing_report(compiled, config, loop_bounds, analyses=None):
+    from .analysis import CostModel
     from .analysis.wcet import TimingConfig, analyze_timing
-    from .analysis.costmodel import pipeline_cost_model
-    from .platform.bus import MMIO_RANGES
 
-    config = TimingConfig(
-        lint=BinaryLintConfig.for_platform(compiled.stack_top, MMIO_RANGES,
-                                           suppress=suppress),
-        model=pipeline_cost_model(strict=False),
-        loop_bounds=loop_bounds)
-    return analyze_timing(compiled, config)
+    return analyze_timing(
+        compiled, TimingConfig(lint=config, model=CostModel(),
+                               loop_bounds=loop_bounds),
+        analyses=analyses)
 
 
-def _cmd_lint_timing(args) -> list:
-    """``lint --binary --timing``: prove WCET + stack bounds for the
-    shipped apps and hold them to the committed budgets (B2A2xx)."""
+def _cmd_lint_binary(args) -> list:
+    """``lint --binary``: abstract-interpret + translation-validate the
+    compiled images of the shipped apps; with ``--timing`` also prove
+    WCET + stack bounds and hold them to the committed budgets (B2A2xx).
+    Each image is analyzed once, for the lint and the bounds alike."""
+    from .analysis import analyze_image, lint_binary_program
     from .analysis.wcet import check_budgets, drift_findings, load_budgets
 
     suppress = _parse_suppressions(args.suppress)
-    loop_bounds, app_budgets = load_budgets(args.budgets)
-    findings = list(drift_findings())
-    for name, compiled in _timing_apps():
-        if args.app not in (name, "all"):
-            continue
-        report = _timing_report_for(compiled, loop_bounds, suppress)
-        findings.extend(report.findings)
-        findings.extend(check_budgets(report, app_budgets.get(name, {})))
-
-    def keep(diag) -> bool:
-        return (diag.code not in suppress
-                and (diag.code, diag.function) not in suppress)
-
-    return [d for d in findings if keep(d)]
+    if args.timing:
+        loop_bounds, app_budgets = load_budgets(args.budgets)
+    findings, timing = [], []
+    for name, program, compiled in _shipped_apps(args.app):
+        config = _binary_config(compiled, suppress)
+        analyses = analyze_image(compiled.image, compiled.symbols, config)
+        findings.extend(lint_binary_program(program, compiled, config,
+                                            analyses=analyses))
+        if args.timing:
+            report = _timing_report(compiled, config, loop_bounds, analyses)
+            timing.extend(report.findings)
+            timing.extend(check_budgets(report, app_budgets.get(name, {})))
+    if args.timing:
+        findings.extend(d for d in drift_findings() + timing
+                        if d.code not in suppress
+                        and (d.code, d.function) not in suppress)
+    return findings
 
 
 def cmd_lint(args) -> int:
@@ -202,8 +196,6 @@ def cmd_lint(args) -> int:
         return 2
     if args.binary:
         findings = _cmd_lint_binary(args)
-        if args.timing:
-            findings.extend(_cmd_lint_timing(args))
         if args.format == "json":
             print(render_json(findings))
         else:
@@ -509,8 +501,9 @@ def cmd_wcet(args) -> int:
            "drift": [d.render() for d in drift_findings()],
            "tightness": None}
     failed = bool(doc["drift"])
-    for name, compiled in _timing_apps():
-        report = _timing_report_for(compiled, loop_bounds)
+    for name, _, compiled in _shipped_apps("all"):
+        report = _timing_report(compiled, _binary_config(compiled),
+                                loop_bounds)
         budget = app_budgets.get(name, {})
         over = check_budgets(report, budget)
         failed = failed or bool(report.findings) or bool(over)

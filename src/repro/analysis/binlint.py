@@ -76,6 +76,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from .. import obs
@@ -129,13 +130,26 @@ def _signed(value: int) -> int:
 # The domain: symbolic-base values and machine states
 
 
+#: A symbolic base: a register number, or ``("slot", off)`` for the
+#: frame word at signed byte offset ``off`` from the entry sp.
+Base = Union[int, Tuple[str, int]]
+
+
 @dataclass(frozen=True)
 class AVal:
     """An abstract register/slot value: ``word`` when ``base`` is None,
-    otherwise ``Init(base) + word`` -- the entry-time value of register
-    ``base`` plus an abstract 32-bit offset."""
+    otherwise ``Init(base) + word`` -- the entry-time value of ``base``
+    plus an abstract 32-bit offset.
 
-    base: Optional[int]
+    The lint fixpoint starts every function with register bases only
+    and never creates a slot base. `repro.analysis.wcet` takes a
+    stabilized loop-header state, keeps sp, and rebases every other
+    register and every tracked slot on its own value at header entry;
+    there ``Init`` means "at header entry", and slot bases name the
+    frame words, such as a spilled fuel counter, that the header
+    re-reads."""
+
+    base: Optional[Base]
     word: AbstractWord
 
 
@@ -147,8 +161,8 @@ def _const(value: int) -> AVal:
     return AVal(None, AbstractWord.const(value))
 
 
-def _init(r: int) -> AVal:
-    return AVal(r, AbstractWord.const(0))
+def _init(base: Base) -> AVal:
+    return AVal(base, AbstractWord.const(0))
 
 
 def _is_init(v: AVal, r: int) -> bool:
@@ -236,7 +250,8 @@ def step_instr(pc: int, instr: Instr, state: BinState) -> BinState:
 
     This is the transfer of the lint fixpoint, with no checking: the
     analyzer reports on an instruction before stepping over it, and
-    `repro.analysis.wcet` re-applies the transfer to stabilized states.
+    `repro.analysis.wcet` re-applies the transfer (with `step_call`) to
+    stabilized states and walks loops with it.
     Stores through non-sp pointers never alias the frame (see the module
     docstring), so only sp-relative stores touch the tracked slots."""
     name = instr.name
@@ -294,6 +309,24 @@ def step_instr(pc: int, instr: Instr, state: BinState) -> BinState:
     if name in ("jal", "jalr"):
         return _with_reg(state, rd, _const((pc + 4) & MASK))
     return state  # branches write nothing
+
+
+def step_call(cfg: BinaryCFG, block: BasicBlock,
+              state: BinState) -> BinState:
+    """The state on return from the call that ends ``block``: the
+    callee preserves sp, the callee-saved registers and the caller's
+    frame (see the module docstring) and clobbers the argument and
+    scratch registers. An unknown callee is trusted with nothing (the
+    lint reports it as B2A101)."""
+    if block.target not in cfg.entries:
+        regs = tuple(_const(0) if r == 0 else _top() for r in range(32))
+        return BinState(regs=regs, slots={}, defined=frozenset(range(32)))
+    regs = list(state.regs)
+    for r in ARG_REGS + SCRATCH_REGS:
+        regs[r] = _top()
+    defined = (state.defined | set(ARG_REGS)) - set(SCRATCH_REGS)
+    return BinState(regs=tuple(regs), slots=state.slots,
+                    defined=frozenset(defined))
 
 
 class _BinDomain(AbstractDomain[BinState]):
@@ -431,7 +464,7 @@ class _FunctionAnalyzer:
         if kind == "jump":
             return {succ: state for succ in block.succs}
         if kind == "call":
-            state = self._apply_call(block, state)
+            state = step_call(self.cfg, block, state)
             return {succ: state for succ in block.succs}
         return {}  # return / indirect
 
@@ -646,24 +679,6 @@ class _FunctionAnalyzer:
             return _with_reg(state, r, AVal(
                 None, AbstractWord(1, max(v.word.hi, 1), v.word.bits)))
         return state
-
-    def _apply_call(self, block: BasicBlock,
-                    state: BinState) -> BinState:
-        target = block.target
-        if target not in self.cfg.entries:
-            # Unknown callee: trust nothing (the terminator check has
-            # already flagged it).
-            regs = tuple(_const(0) if r == 0 else _top() for r in range(32))
-            return BinState(regs=regs, slots={},
-                            defined=frozenset(range(32)))
-        regs = list(state.regs)
-        for r in ARG_REGS:
-            regs[r] = _top()
-        for r in SCRATCH_REGS:
-            regs[r] = _top()
-        defined = (state.defined | set(ARG_REGS)) - set(SCRATCH_REGS)
-        return BinState(regs=tuple(regs), slots=state.slots,
-                        defined=frozenset(defined))
 
     # -- terminator / return checks -------------------------------------
 
@@ -904,10 +919,15 @@ def translation_validate(program: Program, compiled: "_Compiled",
 
 
 def lint_binary_program(program: Program, compiled: "_Compiled",
-                        config: BinaryLintConfig) -> List[Diagnostic]:
+                        config: BinaryLintConfig,
+                        analyses: Optional[ImageAnalysis] = None
+                        ) -> List[Diagnostic]:
     """The full binary lint: abstract-interpretation checks plus
-    translation validation against the source."""
-    analyses = analyze_image(compiled.image, compiled.symbols, config)
+    translation validation against the source. ``analyses`` is this
+    image's `analyze_image` result under ``config``, when the caller
+    already has one; otherwise it is computed here."""
+    if analyses is None:
+        analyses = analyze_image(compiled.image, compiled.symbols, config)
     out = image_findings(analyses, config)
     out.extend(translation_validate(program, compiled, config,
                                     analyses=analyses))
@@ -926,6 +946,7 @@ def aval_contains(val: AVal, concrete: int,
         w = val.word
         value = concrete & MASK
     else:
+        assert isinstance(val.base, int), "the lint makes no slot base"
         w = val.word
         value = (concrete - entry_regs[val.base]) & MASK
     return (w.lo <= value <= w.hi

@@ -122,18 +122,15 @@ def check_pipeline_drift(model: CostModel) -> List[str]:
     return drift
 
 
-def pipeline_cost_model(strict: bool = True) -> CostModel:
-    """The calibrated model, drift-checked against the live pipeline.
-
-    With ``strict`` (the default) a mismatch raises `CostModelDrift`;
-    the lint front end instead calls `check_pipeline_drift` itself and
-    renders each message as a B2A205 diagnostic.
-    """
+def pipeline_cost_model() -> CostModel:
+    """The calibrated model, drift-checked against the live pipeline: a
+    mismatch raises `CostModelDrift`.  The lint front end instead prices
+    with `CostModel` and reports each drift message as a B2A205
+    diagnostic (`repro.analysis.wcet.drift_findings`)."""
     model = CostModel()
-    if strict:
-        drift = check_pipeline_drift(model)
-        if drift:
-            raise CostModelDrift("; ".join(drift))
+    drift = check_pipeline_drift(model)
+    if drift:
+        raise CostModelDrift("; ".join(drift))
     return model
 
 

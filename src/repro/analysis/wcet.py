@@ -14,19 +14,23 @@ for this compiler's output:
    (with optional ``i := 0`` early exits) -- so bounds come from two
    facts the binary analysis already proves: the interval upper bound of
    the test register on loop entry (from `repro.analysis.binlint`'s
-   stabilized states) and a syntactic decrement-by-one proof along every
-   back-edge path, checked with a small affine symbolic walk that sees
-   through copies, stack spills, and calls (callee-saved discipline is
-   binlint's B2A1xx obligation).  Loops the walk cannot bound (e.g. the
-   LAN9250 drain loop, bounded by a data-dependent word count) accept
-   committed flow-fact annotations from ``timing-budgets.json``.
+   stabilized states) and a decrement-by-one proof along every acyclic
+   back-edge path.  The proof walks each path with binlint's own
+   transfer (`step_instr`, `step_call`) from the header's stabilized
+   state, in which every register but sp and every tracked frame slot
+   is a symbol for its value at header entry, so it sees through
+   copies, stack spills (far-path frames included) and calls
+   (callee-saved discipline is binlint's B2A1xx obligation).  Loops the
+   walk cannot bound (e.g. the LAN9250 drain loop, bounded by a
+   data-dependent word count) accept committed flow-fact annotations
+   from ``timing-budgets.json``.
 2. **Costs.**  Per-block cost is ``base_cpi * instructions`` plus the
    full mispredict penalty on every control-transfer terminator (the BTB
    starts cold and is never assumed trained).  Loops collapse innermost
    first -- ``(bound + 1) * worst internal path`` -- then the function
    body is a DAG and WCET is its longest path; calls add the callee's
-   WCET, callees are processed in reverse call-graph order, and
-   recursion is rejected (B2A202).
+   WCET, callees are processed in reverse call-graph order, and a
+   recursive cycle is rejected, for time and stack, by one B2A202.
 3. **Server programs.**  The shipped apps never terminate: ``main`` ends
    in an exit-less event loop.  Such a loop is collapsed into a terminal
    node, splitting the claim into a *startup* WCET (entry to loop
@@ -35,8 +39,9 @@ for this compiler's output:
    (every fuzz program) get a plain whole-program WCET to halt.
 4. **Stack.**  Binlint's states give the stack pointer as an exact
    entry-relative offset at every pc; the per-function maximum is the
-   frame, and the deepest call-graph path gives the program bound,
-   cross-checkable against the compiler's own ``stack_bound`` metadata.
+   frame, and the deepest call-graph path, summed in the same
+   callees-first pass, gives the program bound, cross-checkable against
+   the compiler's own ``stack_bound`` metadata.
 
 Findings use codes B2A201 (loop/control not provably bounded), B2A202
 (recursion), B2A203 (WCET over budget), B2A204 (stack bound over budget
@@ -49,13 +54,11 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from .. import obs
-from ..logic.intervals import MASK, AbstractWord, word_binop
-from ..riscv.insts import I_ARITH, I_SHIFT, R_TYPE, Instr
-from .binlint import (ARG_REGS, LOAD_SIZES, SCRATCH_REGS, STORE_SIZES,
-                      BinState, BinaryLintConfig, FunctionAnalysis,
-                      ImageAnalysis, _plain, _signed, _top,
-                      _I_OPS, _R_OPS, _SHIFT_OPS,
-                      analyze_image, step_instr)
+from ..logic.intervals import MASK
+from .binlint import (ARG_REGS, SCRATCH_REGS, STORE_SIZES, AVal, BinState,
+                      BinaryLintConfig, FunctionAnalysis, ImageAnalysis,
+                      _aval_sub, _init, _plain, _signed, _top,
+                      analyze_image, step_call, step_instr)
 from .cfg import RA, SP, BasicBlock, BinFunction, BinaryCFG, call_graph
 from .costmodel import CostModel, check_pipeline_drift, pipeline_cost_model
 from .lint import Diagnostic
@@ -299,153 +302,18 @@ def _is_spin(fn: BinFunction, loop: _Loop) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Block exits: binlint's transfer re-applied to its stabilized in-states
+# Block transfer: binlint's, for stabilized and symbolic states alike
 
 
-def _havoc_call(state: BinState) -> BinState:
-    regs = list(state.regs)
-    for r in ARG_REGS + SCRATCH_REGS:
-        regs[r] = _top()
-    return BinState(regs=tuple(regs), slots=state.slots,
-                    defined=state.defined)
-
-
-def _block_out(analysis: FunctionAnalysis,
-               block: BasicBlock) -> Optional[BinState]:
-    """The stabilized state *after* a block, from the recorded in-states."""
-    state = analysis.states.get(block.instrs[0][0])
-    if state is None:
-        return None
+def _step_block(cfg: BinaryCFG, block: BasicBlock,
+                state: BinState) -> BinState:
+    """The state after ``block``, by binlint's instruction and call
+    transfers (without its branch refinement)."""
     for pc, instr in block.instrs:
         state = step_instr(pc, instr, state)
     if block.kind == "call":
-        state = _havoc_call(state)
+        state = step_call(cfg, block, state)
     return state
-
-
-# ---------------------------------------------------------------------------
-# Affine symbolic walk: decrement proofs along back-edge paths
-
-#: Affine values: ``("c", k)`` is the constant k; ``("a", base, k)`` is
-#: the loop-header-entry value of ``base`` (a register number or
-#: ``("slot", off)`` frame slot) plus k.  ``None`` is top.
-_Aff = Optional[Tuple[object, ...]]
-
-
-class _AffState:
-    __slots__ = ("regs", "slots", "hazy")
-
-    def __init__(self) -> None:
-        self.regs: List[_Aff] = [("a", r, 0) for r in range(32)]
-        self.regs[0] = ("c", 0)
-        self.slots: Dict[int, _Aff] = {}
-        self.hazy = False  # once true, untouched slots read as top
-
-    def copy(self) -> "_AffState":
-        st = _AffState.__new__(_AffState)
-        st.regs = list(self.regs)
-        st.slots = dict(self.slots)
-        st.hazy = self.hazy
-        return st
-
-    def read_slot(self, off: int) -> _Aff:
-        if off in self.slots:
-            return self.slots[off]
-        return None if self.hazy else ("a", ("slot", off), 0)
-
-
-def _aff_add(v: _Aff, k: int) -> _Aff:
-    if v is None:
-        return None
-    if v[0] == "c":
-        return ("c", (int(v[1]) + k) & MASK)
-    return ("a", v[1], int(v[2]) + k)
-
-
-def _aff_concrete(name: str, a: _Aff, b: _Aff) -> _Aff:
-    """Constant-fold one ALU op through the word domain's transfer."""
-    if (a is None or b is None or a[0] != "c" or b[0] != "c"):
-        return None
-    op = _R_OPS.get(name) or _I_OPS.get(name) or _SHIFT_OPS.get(name)
-    if op is None:
-        return None
-    out = word_binop(op, AbstractWord.const(int(a[1])),
-                     AbstractWord.const(int(b[1]))).as_const()
-    return None if out is None else ("c", out)
-
-
-def _aff_step(st: _AffState, pc: int, instr: Instr) -> None:
-    name = instr.name
-
-    def write(rd: Optional[int], val: _Aff) -> None:
-        if rd:
-            st.regs[rd] = val
-
-    if name == "addi":
-        write(instr.rd, _aff_add(st.regs[instr.rs1 or 0],
-                                 _signed((instr.imm or 0) & MASK)))
-    elif name in I_ARITH or name in I_SHIFT:
-        write(instr.rd, _aff_concrete(name, st.regs[instr.rs1 or 0],
-                                      ("c", (instr.imm or 0) & MASK)))
-    elif name == "add":
-        a, b = st.regs[instr.rs1 or 0], st.regs[instr.rs2 or 0]
-        if b is not None and b[0] == "c":
-            write(instr.rd, _aff_add(a, _signed(int(b[1]))))
-        elif a is not None and a[0] == "c":
-            write(instr.rd, _aff_add(b, _signed(int(a[1]))))
-        else:
-            write(instr.rd, None)
-    elif name == "sub":
-        a, b = st.regs[instr.rs1 or 0], st.regs[instr.rs2 or 0]
-        if b is not None and b[0] == "c":
-            write(instr.rd, _aff_add(a, -_signed(int(b[1]))))
-        else:
-            write(instr.rd, _aff_concrete(name, a, b))
-    elif name in R_TYPE:
-        write(instr.rd, _aff_concrete(name, st.regs[instr.rs1 or 0],
-                                      st.regs[instr.rs2 or 0]))
-    elif name == "lui":
-        write(instr.rd, ("c", ((instr.imm or 0) << 12) & MASK))
-    elif name == "auipc":
-        write(instr.rd, ("c", (pc + ((instr.imm or 0) << 12)) & MASK))
-    elif name in LOAD_SIZES:
-        base = st.regs[instr.rs1 or 0]
-        val: _Aff = None
-        if (name == "lw" and base is not None and base[0] == "a"
-                and base[1] == SP):
-            val = st.read_slot(int(base[2]) + _signed((instr.imm or 0)
-                                                      & MASK))
-        write(instr.rd, val)
-    elif name in STORE_SIZES:
-        base = st.regs[instr.rs1 or 0]
-        if base is not None and base[0] == "a" and base[1] == SP:
-            off = int(base[2]) + _signed((instr.imm or 0) & MASK)
-            if name == "sw" and off % 4 == 0:
-                st.slots[off] = st.regs[instr.rs2 or 0]
-            else:
-                size = STORE_SIZES[name]
-                for k in list(st.slots):
-                    if k < off + size and off < k + 4:
-                        st.slots[k] = None
-                st.hazy = True
-        # Non-sp stores never alias the frame (see binlint.step_instr).
-    elif name == "jal":
-        write(instr.rd, ("c", (pc + 4) & MASK))
-    # branches and jalr terminators are handled by the walker
-
-
-def _aff_call(st: _AffState) -> None:
-    for r in ARG_REGS + SCRATCH_REGS:
-        st.regs[r] = None
-
-
-def _aff_block(st: _AffState, block: BasicBlock,
-               include_terminator: bool) -> None:
-    instrs = block.instrs if include_terminator else block.instrs[:-1]
-    for pc, instr in instrs:
-        _aff_step(st, pc, instr)
-    if include_terminator and block.kind == "call":
-        _aff_call(st)
 
 
 # ---------------------------------------------------------------------------
@@ -526,22 +394,22 @@ def _exit_test(fn: BinFunction, loop: _Loop,
 
 
 def _entry_bound(fn: BinFunction, loop: _Loop, rt: int,
-                 analysis: FunctionAnalysis,
+                 analysis: FunctionAnalysis, cfg: BinaryCFG,
                  preds: Dict[int, Set[int]]) -> Optional[int]:
     """Unsigned upper bound of the test register at first loop entry,
-    from the stabilized preheader out-states pushed through the header."""
+    from the stabilized preheader in-states pushed through the preheader
+    and the header."""
     best: Optional[int] = None
     preheaders = [p for p in preds.get(loop.header, set())
                   if p not in loop.blocks]
     if not preheaders:
         return None
     for p in preheaders:
-        state = _block_out(analysis, fn.blocks[p])
+        state = analysis.states.get(p)
         if state is None:
             continue  # unreachable preheader constrains nothing
-        header = fn.blocks[loop.header]
-        for pc, instr in header.instrs[:-1]:
-            state = step_instr(pc, instr, state)
+        for b in (p, loop.header):
+            state = _step_block(cfg, fn.blocks[b], state)
         w = _plain(state.regs[rt])
         if w.hi > MAX_INFERRED_BOUND:
             return None
@@ -549,29 +417,53 @@ def _entry_bound(fn: BinFunction, loop: _Loop, rt: int,
     return best
 
 
+def _header_symbols(state: BinState) -> BinState:
+    """Where a back-edge walk starts: binlint's stabilized state at the
+    loop header, with sp kept (frame slots are keyed by offsets from
+    it) and every other register and every tracked frame slot replaced
+    by a symbol for its own value at header entry."""
+    regs = tuple(v if r in (0, SP) else _init(r)
+                 for r, v in enumerate(state.regs))
+    slots = {off: _init(("slot", off)) for off in state.slots}
+    return BinState(regs=regs, slots=slots, defined=state.defined)
+
+
+def _past_inner(state: BinState, summary: _LoopSummary) -> BinState:
+    """The walk's state after an inner loop: the registers it writes
+    and the frame words it may store to are unknown."""
+    regs = tuple(_top() if r in summary.writes else v
+                 for r, v in enumerate(state.regs))
+    sp, stores = state.regs[SP], summary.sp_stores
+    slots: Dict[int, AVal] = {}
+    if stores is not None and sp.base == SP and sp.word.is_const():
+        # Kill only the words the inner loop's stores can overlap; the
+        # outer counter's spill slot survives untouched.
+        at = _signed(sp.word.lo)
+        slots = {k: v for k, v in state.slots.items()
+                 if not any(k < at + off + size and at + off < k + 4
+                            for off, size in stores)}
+    return BinState(regs=regs, slots=slots, defined=state.defined)
+
+
 def _decrement_holds(fn: BinFunction, loop: _Loop, rt: int, body: int,
-                     inner: Dict[int, _LoopSummary]) -> bool:
+                     inner: Dict[int, _LoopSummary],
+                     analysis: FunctionAnalysis, cfg: BinaryCFG) -> bool:
     """Every acyclic back-edge path must leave the next header test at
-    ``previous - 1`` (same affine base) or at the constant 0."""
+    ``previous - 1`` (same symbolic base) or at the constant 0."""
     header = fn.blocks[loop.header]
-    start = _AffState()
-    _aff_block(start, header, include_terminator=False)
+    start = _step_block(cfg, header,
+                        _header_symbols(analysis.states[header.start]))
     rt0 = start.regs[rt]
-    if rt0 is None:
-        return False
     budget = [MAX_PATHS]
 
-    def finish(st: _AffState) -> bool:
-        env = st.copy()
-        _aff_block(env, header, include_terminator=False)
-        rt1 = env.regs[rt]
-        if rt1 == ("c", 0):
-            return True
-        return (rt1 is not None and rt0 is not None and rt1[0] == "a"
-                and rt0[0] == "a" and rt1[1] == rt0[1]
-                and int(rt1[2]) == int(rt0[2]) - 1)
+    def finish(st: BinState) -> bool:
+        rt1 = _step_block(cfg, header, st).regs[rt]
+        if rt1.base is None:
+            return rt1.word.as_const() == 0
+        step = _aval_sub(rt0, rt1)
+        return step.base is None and step.word.as_const() == 1
 
-    def walk(b: int, st: _AffState, on_path: FrozenSet[int]) -> bool:
+    def walk(b: int, st: BinState, on_path: FrozenSet[int]) -> bool:
         if budget[0] <= 0:
             return False
         if b == loop.header:
@@ -587,34 +479,19 @@ def _decrement_holds(fn: BinFunction, loop: _Loop, rt: int, body: int,
             return True
         summary = inner.get(b)
         if summary is not None:
-            env = st.copy()
-            for r in summary.writes:
-                env.regs[r] = None
-            if summary.sp_stores is None:
-                env.slots.clear()
-                env.hazy = True
-            else:
-                # Kill only the word slots the inner loop can overlap;
-                # the outer counter's spill slot survives untouched.
-                for off, size in summary.sp_stores:
-                    for k in range(off - 3, off + size):
-                        if k % 4 == 0:
-                            env.slots[k] = None
+            env = _past_inner(st, summary)
             dests = {dst for _, dst in summary.loop.exits}
             return all(walk(d, env, on_path | summary.loop.blocks)
                        for d in sorted(dests))
         block = fn.blocks[b]
-        env = st.copy()
-        _aff_block(env, block, include_terminator=True)
-        succs = [s for s in block.succs]
-        if not succs:
+        if not block.succs:
             budget[0] -= 1
             return True  # dead end: no back edge taken on this path
-        return all(walk(s, env, on_path | {b}) for s in succs)
+        env = _step_block(cfg, block, st)
+        return all(walk(s, env, on_path | {b}) for s in block.succs)
 
     # The header's own terminator state applies to the body successor.
-    st = start.copy()
-    ok = walk(body, st, frozenset({loop.header}))
+    ok = walk(body, start, frozenset({loop.header}))
     return ok and budget[0] > 0
 
 
@@ -724,12 +601,14 @@ class _FunctionWcet:
         if test is None:
             return None, UNBOUNDED
         rt, body = test
-        bound = _entry_bound(self.fn, loop, rt, self.analysis, self.preds)
+        bound = _entry_bound(self.fn, loop, rt, self.analysis, self.cfg,
+                             self.preds)
         if bound is None:
             return None, UNBOUNDED
         if bound == 0:
             return 0, INFERRED  # zero-trip: never entered
-        if not _decrement_holds(self.fn, loop, rt, body, inner):
+        if not _decrement_holds(self.fn, loop, rt, body, inner,
+                                self.analysis, self.cfg):
             return None, UNBOUNDED
         return bound, INFERRED
 
@@ -945,41 +824,6 @@ def _frame_bytes(analysis: FunctionAnalysis, stack_top: int
     return depth
 
 
-def _stack_totals(graph: Mapping[str, Set[str]],
-                  frames: Mapping[str, Optional[int]],
-                  findings: List[Diagnostic],
-                  config: TimingConfig) -> Dict[str, Optional[int]]:
-    totals: Dict[str, Optional[int]] = {}
-    on_stack: Set[str] = set()
-
-    def total(name: str) -> Optional[int]:
-        if name in totals:
-            return totals[name]
-        if name in on_stack:
-            diag = Diagnostic(
-                code="B2A202", function=name,
-                message="recursive call cycle: no static stack bound")
-            if not config.lint.suppressed(diag):
-                findings.append(diag)
-            return None
-        on_stack.add(name)
-        frame = frames.get(name)
-        deepest: Optional[int] = 0
-        for callee in sorted(graph.get(name, set())):
-            sub = total(callee)
-            deepest = None if (deepest is None or sub is None) \
-                else max(deepest, sub)
-        on_stack.discard(name)
-        out = None if (frame is None or deepest is None) \
-            else frame + deepest
-        totals[name] = out
-        return out
-
-    for name in graph:
-        total(name)
-    return totals
-
-
 # ---------------------------------------------------------------------------
 # Driver
 
@@ -987,9 +831,10 @@ def _stack_totals(graph: Mapping[str, Set[str]],
 def _topo_functions(graph: Mapping[str, Set[str]],
                     findings: List[Diagnostic],
                     config: TimingConfig) -> List[str]:
-    """Callees-first order; call-graph cycles are reported (B2A202) and
-    their members simply never appear in ``done`` (callers see them as
-    unbounded)."""
+    """Callees-first order; each call-graph cycle is reported once
+    (B2A202), where the walk closes it.  A cycle member's callee on the
+    cycle comes after it, so the member's time and stack are unbounded
+    and so are those of every caller."""
     order: List[str] = []
     state: Dict[str, int] = {}  # 1 = on stack, 2 = done
 
@@ -999,7 +844,8 @@ def _topo_functions(graph: Mapping[str, Set[str]],
         if state.get(name) == 1:
             diag = Diagnostic(
                 code="B2A202", function=name,
-                message="recursive call cycle: no static WCET")
+                message="recursive call cycle: no static WCET or "
+                        "stack bound")
             if not config.lint.suppressed(diag):
                 findings.append(diag)
             return
@@ -1041,7 +887,7 @@ def analyze_timing(compiled: object,
 
     done: Dict[str, FunctionTiming] = {}
     results: Dict[str, FunctionTiming] = {}
-    frames: Dict[str, Optional[int]] = {}
+    totals: Dict[str, Optional[int]] = {}  # frame + deepest callee stack
     for name in order:
         analysis = analyses.get(name)
         fn = cfg.functions.get(name)
@@ -1049,15 +895,21 @@ def analyze_timing(compiled: object,
             continue
         timing = _FunctionWcet(fn, analysis, cfg, config, done,
                                findings).run()
-        frames[name] = _frame_bytes(analysis, stack_top)
-        timing.frame_bytes = frames[name]
+        frame = _frame_bytes(analysis, stack_top)
+        deepest: Optional[int] = 0
+        for callee in graph.get(name, set()):
+            # Callees come first: one still absent closes a cycle or
+            # was not analyzed, and bounds nothing.
+            sub = totals.get(callee)
+            deepest = None if (deepest is None or sub is None) \
+                else max(deepest, sub)
+        totals[name] = None if (frame is None or deepest is None) \
+            else frame + deepest
+        timing.frame_bytes = frame
+        timing.total_stack_bytes = totals[name]
         results[name] = timing
         if timing.wcet_cycles is not None or timing.is_server:
             done[name] = timing
-
-    totals = _stack_totals(graph, frames, findings, config)
-    for name, timing in results.items():
-        timing.total_stack_bytes = totals.get(name)
 
     entry = "_start" if "_start" in results else \
         (cfg.entries.get(0) or "_start")

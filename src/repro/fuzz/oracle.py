@@ -10,9 +10,11 @@ interp           big-step interpreter (`repro.bedrock2.semantics`) --
                  program (a generator bug), never a divergence
 binlint          *static* layer: the binary-level abstract interpreter
                  (`repro.analysis.binlint`) lints the compiled image
-                 before anything executes it; any finding is a
+                 before anything executes it, and validates its stores
+                 against the source (B2A108); any finding is a
                  divergence (the compiler emitted code that violates an
-                 ISA-level invariant), shrunk like any other failure
+                 ISA-level invariant or changes what the program
+                 writes), shrunk like any other failure
 wcet             second static layer: `repro.analysis.wcet` proves WCET
                  and stack bounds from the same abstract interpretation
                  (computed once, by `binlint` when it runs); the
@@ -189,16 +191,19 @@ def _lint_config():
         _STACK_TOP, ((DEV_BASE, DEV_BASE + DEV_SIZE),))
 
 
-def _binlint_findings(compiled):
-    """The static layer: abstract-interpretation lint of the compiled
-    image. Returns ``(analyses, findings)``; the `wcet` layer reuses
-    ``analyses`` instead of analyzing the image again. Imported lazily
-    so execution-only layer subsets never pay for the analysis import."""
-    from ..analysis.binlint import analyze_image, image_findings
+def _binlint_findings(program: Program, compiled):
+    """The static layer: the full binary lint of the compiled image,
+    abstract-interpretation checks and translation validation against
+    ``program``, as ``lint --binary`` runs it. Returns ``(analyses,
+    findings)``; the `wcet` layer reuses ``analyses`` instead of
+    analyzing the image again. Imported lazily so execution-only layer
+    subsets never pay for the analysis import."""
+    from ..analysis.binlint import analyze_image, lint_binary_program
 
     config = _lint_config()
     analyses = analyze_image(compiled.image, compiled.symbols, config)
-    return analyses, image_findings(analyses, config)
+    return analyses, lint_binary_program(program, compiled, config,
+                                         analyses=analyses)
 
 
 def _wcet_prove(compiled, analyses) -> Tuple[Optional[dict], Optional[str]]:
@@ -428,8 +433,8 @@ def run_differential(program: Program,
     analyses = None
     if "binlint" in layers:
         result["layers"].append("binlint")
-        analyses, findings = _timed("binlint",
-                                    lambda: _binlint_findings(compiled))
+        analyses, findings = _timed(
+            "binlint", lambda: _binlint_findings(program, compiled))
         if findings:
             shown = "; ".join(d.render() for d in findings[:3])
             if len(findings) > 3:

@@ -188,6 +188,16 @@ def test_fast_mutations_killed(name):
     assert result["status"] == "divergence", result
 
 
+def test_binlint_layer_validates_stores_against_the_source():
+    """The `binlint` layer runs translation validation: a store the
+    flattener drops is a B2A108 before anything executes the image."""
+    result = run_fuzz_seed(0, mutation="flatten-drop-store",
+                           layers=("interp", "binlint"))
+    assert result["status"] == "divergence", result
+    assert result["divergence"]["layer"] == "binlint"
+    assert "[B2A108]" in result["divergence"]["detail"]
+
+
 #: The kills that only one oracle layer makes over `DEFAULT_SCORE_SEEDS`
 #: (the whole kill matrix is in docs/fuzzing.md), each with a killing
 #: seed. A layer that loses its last unique kill no longer earns its
